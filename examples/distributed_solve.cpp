@@ -305,11 +305,10 @@ int solve_rank(int rank, core::Transport& t, const Cli& cli) {
   const resil::GuardedSolveResult gr =
       resil::guarded_solve(gopt, cli.cycles, real_t(cli.orders), cb);
   if (gr.outcome == resil::SolveOutcome::Failed) return 3;
-  // Exit grace: keep re-Acking duplicate frames until the wire is quiet,
-  // so a peer whose final Ack was destroyed (conn_reset) is not stranded
-  // retransmitting to an exited rank.
-  for (auto& plan : plans) plan->drain();
-  xfer_plan.drain();
+  // Fin handshake: stay on the wire (re-acking duplicate frames) until
+  // every peer has finished too, so a peer whose final Ack was destroyed
+  // (conn_reset) is not stranded retransmitting to an exited rank.
+  core::leave_group(t);
 
   if (rank == 0) {
     const nsu3d::Forces f = solver.integrate_forces();
@@ -345,12 +344,13 @@ void print_group(const char* status, const core::TransportCounters& c,
                  int relaunches) {
   std::printf("status: %s (relaunches=%d)\n", status, relaunches);
   std::printf("resil.transport: timeout=%llu retransmit=%llu reconnect=%llu "
-              "peer_lost=%llu heartbeat=%llu\n",
+              "peer_lost=%llu heartbeat=%llu exit_fallback=%llu\n",
               (unsigned long long)c.timeouts(),
               (unsigned long long)c.retransmits(),
               (unsigned long long)c.reconnects(),
               (unsigned long long)c.peer_lost(),
-              (unsigned long long)c.heartbeats());
+              (unsigned long long)c.heartbeats(),
+              (unsigned long long)c.exit_fallbacks());
 }
 
 /// In-process backend: one std::thread per rank over LocalGroup mailboxes,

@@ -4,7 +4,9 @@
 # backend x strategy x fault-mix, requires every run to converge or
 # recover (never hang — each run sits under a hard watchdog), and
 # bit-compares the residual/CL/CD history artifact across every cell
-# against the clean in-process reference.
+# against the clean in-process reference. Every clean cell (no injected
+# faults) must also leave the group through the Fin handshake: its
+# `resil.transport:` line must report exit_fallback=0.
 #
 #   scripts/soak.sh                   # build dir ./build, watchdog 300s
 #   BUILD_DIR=out scripts/soak.sh     # alternate build tree
@@ -36,9 +38,17 @@ run() { # run <name> <history-file> <args...>
     fail=1
     return 1
   fi
-  local status
+  local status fallbacks
   status="$(grep -o 'status: [a-z]*' "$log" | head -1)"
-  echo "ok   $name (${status:-status: ok})"
+  fallbacks="$(grep -o 'exit_fallback=[0-9]*' "$log" | head -1 | cut -d= -f2)"
+  if [[ " $* " != *" --faults "* && "$fallbacks" != 0 ]]; then
+    echo "FAIL $name: clean run left through the quiet-window fallback" \
+      "(exit_fallback=${fallbacks:-missing})"
+    sed 's/^/    /' "$log"
+    fail=1
+    return 1
+  fi
+  echo "ok   $name (${status:-status: ok}, exit_fallback=${fallbacks:-?})"
 }
 
 echo "== soak: clean in-process reference (both Fig. 7 strategies) =="

@@ -36,8 +36,9 @@ void send_datagram(Transport& t, int peer, const WireHeader& h,
 }
 
 /// Duplicate Data observed while the sync side channel owns the mailbox:
-/// re-acknowledge it exactly the way drain() does, so a peer whose final
-/// Ack was destroyed is not stranded retransmitting into the sync window.
+/// re-acknowledge it exactly the way leave_group() does, so a peer whose
+/// final Ack was destroyed is not stranded retransmitting into the sync
+/// window.
 void reack_stale_data(Transport& t, int peer, const WireHeader& h,
                       std::vector<std::uint8_t>& scratch) {
   if (WireType(h.type) != WireType::Data) return;

@@ -86,7 +86,7 @@ ClockEstimate sync_clock_server(Transport& t, const ClockSyncOptions& opt = {});
 ClockEstimate sync_group_clock(Transport& t, const ClockSyncOptions& opt = {});
 
 /// Answers one already-decoded Ping datagram with a Pong (used by
-/// ExchangePlan::drain, whose mailbox sweep may intercept a peer's
+/// core::leave_group, whose mailbox sweep may intercept a peer's
 /// teardown-sync Pings before the local member reaches its own sync).
 /// Returns false if the datagram is not a Ping.
 bool answer_ping(Transport& t, int peer, const WireHeader& h,

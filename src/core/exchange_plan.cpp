@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/clock_sync.hpp"
 #include "obs/obs.hpp"
 #include "resil/faults.hpp"
 #include "support/assert.hpp"
@@ -285,6 +284,12 @@ ExchangePlan::Await ExchangePlan::await_ack(int peer, std::uint64_t seq,
         stash_put(peer, h);
       continue;
     }
+    if (type == WireType::Fin) {
+      // The peer completed its whole schedule, which includes delivering
+      // every channel we send it: the Fin acknowledges this one too.
+      opt_.transport->record_fin(peer);
+      return Await::Acked;
+    }
     if (h.seq != seq || h.channel != ci) {
       // An Ack addressed to another of our in-flight sends (post() puts
       // every channel's first attempt on the wire before the protocol
@@ -416,6 +421,14 @@ bool ExchangePlan::ack_take(int peer, std::uint64_t seq, std::uint32_t ci) {
   return false;
 }
 
+void ExchangePlan::note_control(int peer, const WireHeader& h) {
+  switch (WireType(h.type)) {
+    case WireType::Ack: ack_put(peer, h); break;
+    case WireType::Fin: opt_.transport->record_fin(peer); break;
+    default: break;  // stale Nak/Pong: timeout-recovered or unsolicited
+  }
+}
+
 void ExchangePlan::purge_round(std::uint64_t seq) {
   // Anything still parked for a completed round is a duplicate (a
   // retransmission whose original already landed, or an ack consumed by
@@ -441,8 +454,9 @@ void ExchangePlan::wire_send(std::uint32_t ci, Channel& ch, std::uint64_t seq,
   while (attempt < opt_.wire.max_attempts) {
     // The ack may already be in the ledger: the peer answered while this
     // member's protocol was waiting on an earlier channel (post() puts
-    // every first attempt on the wire up front).
-    if (ack_take(peer, seq, ci)) return;
+    // every first attempt on the wire up front). A recorded Fin from the
+    // peer acknowledges every channel it receives.
+    if (ack_take(peer, seq, ci) || t->fin_received(peer)) return;
     if (!sent) {
       if (sends > 0) note_retransmit(ch);
       send_attempt(ci, ch, seq, attempt, peer);
@@ -584,9 +598,7 @@ void ExchangePlan::wire_recv(std::uint32_t ci, Channel& ch,
     WireHeader h;
     if (!decode_wire(wire_in_, h, wire_frame_)) continue;
     if (WireType(h.type) != WireType::Data) {
-      // An Ack for one of this member's own in-flight sends can land here
-      // too — ledger it for its wire_send instead of dropping it.
-      if (WireType(h.type) == WireType::Ack) ack_put(peer, h);
+      note_control(peer, h);
       continue;
     }
     if (h.seq != seq || h.channel != ci) {
@@ -704,7 +716,10 @@ void ExchangePlan::wire_loopback(std::uint32_t ci, Channel& ch,
       }
       WireHeader h;
       if (!decode_wire(wire_in_, h, wire_frame_)) continue;
-      if (WireType(h.type) != WireType::Data) continue;  // stale control
+      if (WireType(h.type) != WireType::Data) {
+        note_control(self, h);
+        continue;
+      }
       if (h.seq != seq || h.channel != ci) {
         // Future frame (a later self channel launched by post()): stash
         // it for the loopback that owns it. Anything older is a stale
@@ -725,37 +740,6 @@ void ExchangePlan::wire_loopback(std::uint32_t ci, Channel& ch,
       std::string("loopback halo channel ") + std::to_string(ci) +
           " undelivered after " + std::to_string(opt_.wire.max_attempts) +
           " attempts over " + t->name());
-}
-
-void ExchangePlan::drain(int quiet_ms) {
-  Transport* t = opt_.transport;
-  if (t == nullptr || t->group_size() <= 1) return;
-  const int me = t->group_rank();
-  auto last_traffic = std::chrono::steady_clock::now();
-  while (std::chrono::steady_clock::now() - last_traffic <
-         std::chrono::milliseconds(quiet_ms)) {
-    for (int peer = 0; peer < t->group_size(); ++peer) {
-      if (peer == me) continue;
-      if (t->recv(peer, wire_in_, 10) != RecvOutcome::Ok) continue;
-      WireHeader h;
-      if (!decode_wire(wire_in_, h, wire_frame_)) {
-        last_traffic = std::chrono::steady_clock::now();
-        continue;
-      }
-      // A peer already in its teardown clock sync (core/clock_sync.hpp)
-      // pings member 0 while we may still be draining: answer so its burst
-      // completes, but do NOT treat the Ping as wire traffic — resetting
-      // the quiet timer on every probe would hold the drain open for the
-      // whole sync budget.
-      if (answer_ping(*t, peer, h, wire_frame_)) continue;
-      last_traffic = std::chrono::steady_clock::now();
-      if (WireType(h.type) != WireType::Data) continue;
-      // With our schedule complete, every inbound Data frame duplicates a
-      // channel we already delivered; the Ack we sent for it must have
-      // been destroyed in flight — answer again so the peer can finish.
-      if (h.seq < t->next_exchange_seq()) send_control(peer, WireType::Ack, h);
-    }
-  }
 }
 
 const PartitionData& ExchangePlan::exchange(const PartitionData& data) {

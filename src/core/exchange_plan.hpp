@@ -134,15 +134,6 @@ class ExchangePlan {
   /// True between post() and finish().
   bool posted() const { return posted_; }
 
-  /// Group-exit grace period (no-op without a transport or alone in the
-  /// group): keeps answering peers' duplicate Data frames with Acks until
-  /// the wire has been quiet for `quiet_ms`. A member that finishes its
-  /// schedule and exits immediately can strand a peer whose final Ack was
-  /// destroyed in flight (e.g. by an injected conn_reset): the peer
-  /// retransmits into a void forever. Call this after the last exchange,
-  /// before tearing the member down.
-  void drain(int quiet_ms = 300);
-
   index_t num_partitions() const { return nparts_; }
   ExchangeStrategy strategy() const { return opt_.strategy; }
   int threads_per_process() const { return opt_.threads_per_process; }
@@ -255,6 +246,10 @@ class ExchangePlan {
   // has not started yet are recorded, not dropped.
   void ack_put(int peer, const WireHeader& h);
   bool ack_take(int peer, std::uint64_t seq, std::uint32_t ci);
+  /// Control that arrived while a receive loop was waiting on something
+  /// else: an Ack goes to the ledger, a Fin to the endpoint's Fin ledger
+  /// (core::leave_group). Other control is stale and dropped.
+  void note_control(int peer, const WireHeader& h);
   /// Drops stash/ledger leftovers of a completed round (<= seq): every
   /// channel of that round is delivered on this member, so anything still
   /// parked for it is a duplicate. Keeps both pools bounded by the live

@@ -98,10 +98,10 @@ class MultigridDriver {
   /// counter names, telemetry records, checkpoint tags.
   explicit MultigridDriver(std::string name)
       : name_(std::move(name)),
-        span_cycle_(name_ + ".cycle"),
-        span_level_(name_ + ".level"),
-        span_solve_(name_ + ".solve"),
-        span_guarded_(name_ + ".solve_guarded"),
+        span_cycle_(obs::intern(name_ + ".cycle")),
+        span_level_(obs::intern(name_ + ".level")),
+        span_solve_(obs::intern(name_ + ".solve")),
+        span_guarded_(obs::intern(name_ + ".solve_guarded")),
         visits_ctr_(&obs::counter(name_ + ".level_visits")),
         cycles_ctr_(&obs::counter(name_ + ".cycles")) {}
 
@@ -125,7 +125,7 @@ class MultigridDriver {
   /// is a per-attempt counter, so a rolled-back retry of the same cycle
   /// draws a fresh injection decision instead of re-faulting.
   real_t run_cycle(Physics& phys) {
-    OBS_SPAN(span_cycle_.c_str());
+    OBS_SPAN(span_cycle_);
     cycles_ctr_->add(1);
     mg_cycle(phys, 0);
     resil::FaultInjector& inj = resil::FaultInjector::global();
@@ -148,7 +148,7 @@ class MultigridDriver {
     // this solve's window on scope exit. Purely observational — histories
     // stay bit-identical with reporting on or off (test_obs_determinism).
     obs::SolveReportScope report(name_);
-    OBS_SPAN(span_solve_.c_str());
+    OBS_SPAN(span_solve_);
     std::vector<real_t> history{phys.residual_norm()};
     const real_t target = history[0] * std::pow(10.0, -orders);
     for (int c = 0; c < max_cycles; ++c) {
@@ -184,7 +184,7 @@ class MultigridDriver {
       Physics& phys, int max_cycles, real_t orders,
       const resil::GuardedSolveOptions& options) {
     obs::SolveReportScope report(name_);
-    OBS_SPAN(span_guarded_.c_str());
+    OBS_SPAN(span_guarded_);
     resil::GuardCallbacks cb;
     cb.solver = name_;
     cb.residual_norm = [&phys] { return phys.residual_norm(); };
@@ -202,7 +202,7 @@ class MultigridDriver {
 
  private:
   void mg_cycle(Physics& phys, int level) {
-    OBS_SPAN(span_level_.c_str(), "level", level);
+    OBS_SPAN(span_level_, "level", level);
     visits_ctr_->add(1);
     // Exclusive per-level timing: the stretch before the coarse-grid visit
     // and the stretch after it, but never the recursion itself.
@@ -228,7 +228,12 @@ class MultigridDriver {
   }
 
   std::string name_;
-  std::string span_cycle_, span_level_, span_solve_, span_guarded_;
+  // Interned (process lifetime): recorded trace events keep these
+  // pointers and may be read after the driver is destroyed.
+  const char* span_cycle_;
+  const char* span_level_;
+  const char* span_solve_;
+  const char* span_guarded_;
   obs::Counter* visits_ctr_;
   obs::Counter* cycles_ctr_;
 

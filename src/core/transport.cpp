@@ -1,9 +1,11 @@
 #include "core/transport.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
 
+#include "core/clock_sync.hpp"
 #include "obs/obs.hpp"
 #include "support/assert.hpp"
 
@@ -25,6 +27,7 @@ const char* transport_counter_name(TransportCounter c) {
     case TransportCounter::Reconnect: return "reconnect";
     case TransportCounter::PeerLost: return "peer_lost";
     case TransportCounter::Heartbeat: return "heartbeat";
+    case TransportCounter::ExitFallback: return "exit_fallback";
   }
   return "?";
 }
@@ -45,8 +48,17 @@ void Transport::count(TransportCounter c, std::uint64_t n) {
     case TransportCounter::Heartbeat:
       OBS_COUNT("resil.transport.heartbeat", n);
       break;
+    case TransportCounter::ExitFallback:
+      OBS_COUNT("resil.transport.exit_fallback", n);
+      break;
   }
   if (sink_) sink_(c, n);
+}
+
+void Transport::record_fin(int peer) {
+  COLUMBIA_REQUIRE(peer >= 0 && peer < group_size());
+  if (fin_from_.empty()) fin_from_.resize(std::size_t(group_size()), 0);
+  fin_from_[std::size_t(peer)] = 1;
 }
 
 void Transport::enter_hang() {
@@ -83,6 +95,91 @@ bool decode_wire(std::span<const std::uint8_t> datagram, WireHeader& h,
   if (body != 0)
     std::memcpy(frame.data(), datagram.data() + kWireHeaderBytes, body);
   return true;
+}
+
+// --- Group exit -------------------------------------------------------------
+
+namespace {
+
+/// Wait on one of several unfinished peers: short, so a Fin from another
+/// peer is noticed promptly. A two-member group waits on its only peer for
+/// the whole remaining quiet window instead.
+constexpr int kExitSliceMs = 2;
+
+}  // namespace
+
+GroupExit leave_group(Transport& t, int quiet_ms) {
+  const int n = t.group_size();
+  const int me = t.group_rank();
+  if (n <= 1) return GroupExit::Alone;
+  using Clock = std::chrono::steady_clock;
+
+  std::vector<std::uint8_t> fin, ack, in;
+  std::vector<real_t> frame;
+  encode_wire({t.next_exchange_seq(), std::uint32_t(me),
+               std::uint16_t(WireType::Fin), 0},
+              {}, fin);
+  const auto put = [&t](int peer, const std::vector<std::uint8_t>& dgram) {
+    if (!t.send(peer, dgram)) {
+      t.count(TransportCounter::Reconnect);
+      t.reconnect(peer);
+    }
+  };
+  for (int p = 0; p < n; ++p)
+    if (p != me) put(p, fin);
+
+  // A peer is finished once its Fin arrived (here or earlier, inside a
+  // plan's receive loop) or the fabric proved it exited.
+  std::vector<bool> gone(std::size_t(n), false);
+  const auto finished = [&](int p) {
+    return gone[std::size_t(p)] || t.fin_received(p);
+  };
+  auto last_traffic = Clock::now();
+  for (;;) {
+    bool open = false;
+    for (int p = 0; p < n; ++p) open = open || (p != me && !finished(p));
+    if (!open) return GroupExit::Handshake;
+    const auto quiet_for = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::now() - last_traffic);
+    if (quiet_for.count() >= quiet_ms) {
+      t.count(TransportCounter::ExitFallback);
+      return GroupExit::Fallback;
+    }
+    const int remaining = quiet_ms - int(quiet_for.count());
+    for (int peer = 0; peer < n; ++peer) {
+      if (peer == me) continue;
+      // Finished peers are only polled, for their teardown clock-sync
+      // Pings; unfinished ones are waited on.
+      const int wait = finished(peer) ? 0
+                       : n == 2       ? remaining
+                                      : std::min(remaining, kExitSliceMs);
+      const RecvOutcome ro = t.recv(peer, in, wait);
+      if (ro == RecvOutcome::PeerGone) gone[std::size_t(peer)] = true;
+      if (ro != RecvOutcome::Ok) continue;
+      WireHeader h;
+      if (!decode_wire(in, h, frame)) {
+        last_traffic = Clock::now();
+        continue;
+      }
+      // A Ping is not traffic: a finished peer probing member 0 for its
+      // whole sync budget must not hold this member's quiet window open.
+      if (answer_ping(t, peer, h, frame)) continue;
+      last_traffic = Clock::now();
+      const WireType type = WireType(h.type);
+      if (type == WireType::Fin) {
+        t.record_fin(peer);
+      } else if (type == WireType::Data && h.seq < t.next_exchange_seq()) {
+        // Our schedule is complete, so this duplicates a delivered
+        // channel whose Ack died in flight; our Fin may have died with
+        // it.
+        WireHeader a = h;
+        a.type = std::uint16_t(WireType::Ack);
+        encode_wire(a, {}, ack);
+        put(peer, ack);
+        put(peer, fin);
+      }
+    }
+  }
 }
 
 // --- LocalTransport ---------------------------------------------------------

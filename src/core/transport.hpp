@@ -46,16 +46,19 @@ const char* transport_backend_name(TransportBackend b);
 enum class RecvOutcome { Ok, Timeout, Reset, Closed, PeerGone };
 
 /// Per-endpoint failure/recovery ledger; mirrored into the obs counters
-/// resil.transport.{timeout,retransmit,reconnect,peer_lost,heartbeat} and,
-/// under a process-group launcher, into the group's shared control block.
+/// resil.transport.{timeout,retransmit,reconnect,peer_lost,heartbeat,
+/// exit_fallback} and, under a process-group launcher, into the group's
+/// shared control block. ExitFallback counts group exits that ran out the
+/// quiet window instead of completing the Fin handshake (leave_group).
 enum class TransportCounter : int {
   Timeout = 0,
   Retransmit,
   Reconnect,
   PeerLost,
   Heartbeat,
+  ExitFallback,
 };
-inline constexpr int kNumTransportCounters = 5;
+inline constexpr int kNumTransportCounters = 6;
 const char* transport_counter_name(TransportCounter c);
 
 struct TransportCounters {
@@ -65,6 +68,7 @@ struct TransportCounters {
   std::uint64_t reconnects() const { return v[2]; }
   std::uint64_t peer_lost() const { return v[3]; }
   std::uint64_t heartbeats() const { return v[4]; }
+  std::uint64_t exit_fallbacks() const { return v[5]; }
 };
 
 /// Thrown when the wire protocol cannot make progress: the retransmit
@@ -102,6 +106,9 @@ enum class WireType : std::uint16_t {
   // same way they skip stale Ack/Nak control.
   Ping = 4,
   Pong = 5,
+  // Group-exit handshake (leave_group): "my whole schedule is complete".
+  // seq carries the sender's exchange sequence, channel its group rank.
+  Fin = 6,
 };
 
 struct WireHeader {
@@ -219,6 +226,16 @@ class Transport {
   };
   std::vector<AckRecord>& ack_ledger() { return ack_ledger_; }
 
+  /// Fin ledger: which peers have announced a complete schedule. A Fin can
+  /// land inside any receive loop (a plan's ack wait, a stray sweep), so
+  /// it is recorded here, endpoint-wide like the ack ledger, for
+  /// leave_group to find.
+  void record_fin(int peer);
+  bool fin_received(int peer) const {
+    return std::size_t(peer) < fin_from_.size() &&
+           fin_from_[std::size_t(peer)] != 0;
+  }
+
  protected:
   void notify_hang() {
     if (hang_hook_) hang_hook_();
@@ -231,7 +248,32 @@ class Transport {
   std::uint64_t exchange_seq_ = 0;
   std::vector<StashedFrame> frame_stash_;
   std::vector<AckRecord> ack_ledger_;
+  std::vector<std::uint8_t> fin_from_;  // indexed by peer rank
 };
+
+// --- Group exit ---------------------------------------------------------------
+
+/// How a member left the group (leave_group).
+enum class GroupExit {
+  Alone,      // single-member group: nothing to hand over
+  Handshake,  // every peer's Fin (or proven exit) arrived
+  Fallback,   // the quiet window ran out first (a Fin was destroyed)
+};
+
+/// Quiet window after which leave_group gives up waiting for Fins.
+inline constexpr int kExitQuietMs = 300;
+
+/// The member's last act on the wire, called once its whole schedule is
+/// complete (every send acked, every receive delivered) — one call per
+/// endpoint, serving every plan multiplexed over it. Sends Fin to every
+/// peer, then keeps re-acking duplicate Data (re-sending its Fin with the
+/// Ack, since a peer still retransmitting may have lost it) and answering
+/// teardown clock-sync Pings until it holds a Fin — or a PeerGone — from
+/// every peer. Holding every Fin proves no peer will ever need this member
+/// again, so it may exit at once. Only if `quiet_ms` pass with no traffic
+/// (a Fin destroyed in flight) does it leave anyway, counting
+/// TransportCounter::ExitFallback.
+GroupExit leave_group(Transport& t, int quiet_ms = kExitQuietMs);
 
 // --- In-process reference backend -------------------------------------------
 

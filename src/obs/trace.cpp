@@ -8,6 +8,7 @@
 #include <mutex>
 #include <ostream>
 #include <string_view>
+#include <unordered_set>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -32,6 +33,15 @@ void write_provenance(JsonWriter& w, std::int64_t threads) {
 }
 
 }  // namespace
+
+const char* intern(std::string_view name) {
+  // Never destroyed: events may be read by static destructors and atexit
+  // exporters. Set nodes never move, so c_str() stays valid.
+  static auto* mu = new std::mutex;
+  static auto* names = new std::unordered_set<std::string>;
+  const std::lock_guard<std::mutex> lock(*mu);
+  return names->emplace(name).first->c_str();
+}
 
 std::int64_t TraceEvent::arg_or(const char* key, std::int64_t fallback) const {
   for (int i = 0; i < nargs; ++i) {

@@ -18,6 +18,7 @@
 #include <initializer_list>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #ifndef COLUMBIA_OBS_ENABLED
@@ -118,6 +119,12 @@ class SpanGuard {
   // even if tracing is switched off mid-span.
   const char* name_ = nullptr;
 };
+
+/// Process-lifetime copy of `name`, for span names built at run time
+/// (a solver's "nsu3d.cycle"): recorded events keep the pointer, and a
+/// trace may be read after the object that built the name is gone. Equal
+/// strings share one copy. Thread-safe; call once per name, not per span.
+const char* intern(std::string_view name);
 
 /// Total events recorded across all thread buffers.
 std::size_t num_trace_events();

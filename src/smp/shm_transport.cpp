@@ -1,9 +1,14 @@
 #include "smp/shm_transport.hpp"
 
+#include <linux/futex.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <climits>
 #include <cstring>
+#include <ctime>
 #include <thread>
 
 #include "support/assert.hpp"
@@ -20,6 +25,42 @@ std::size_t align_up(std::size_t n) { return (n + kAlign - 1) & ~(kAlign - 1); }
 /// link down; recv() uses its caller-supplied deadline instead.
 constexpr int kSendStallMs = 500;
 constexpr auto kPollNap = std::chrono::microseconds(200);
+
+using Clock = std::chrono::steady_clock;
+
+std::uint32_t* futex_word(std::atomic<std::uint32_t>& a) {
+  return reinterpret_cast<std::uint32_t*>(&a);
+}
+
+/// Sleeps while *word == expected, at most until `until`. Shared futex
+/// (no FUTEX_PRIVATE_FLAG): the word lives in a MAP_SHARED mapping that
+/// other processes wake through. Spurious returns are fine; the caller
+/// re-checks the ring.
+void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t expected,
+                Clock::time_point until) {
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      until - Clock::now())
+                      .count();
+  if (ns <= 0) return;
+  struct timespec ts;
+  ts.tv_sec = time_t(ns / 1000000000);
+  ts.tv_nsec = long(ns % 1000000000);
+  ::syscall(SYS_futex, futex_word(word), FUTEX_WAIT, expected, &ts, nullptr,
+            0);
+}
+
+void futex_wake_all(std::atomic<std::uint32_t>& word) {
+  ::syscall(SYS_futex, futex_word(word), FUTEX_WAKE, INT_MAX, nullptr,
+            nullptr, 0);
+}
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 
 class ShmTransport final : public core::Transport {
  public:
@@ -53,6 +94,13 @@ class ShmTransport final : public core::Transport {
     write_wrapped(buf, cap, tail, prefix, 4);
     write_wrapped(buf, cap, tail + 4, datagram.data(), datagram.size());
     r.tail.store(tail + need, std::memory_order_release);
+    // Ring the doorbell after publishing. Sequentially consistent against
+    // recv()'s (read doorbell, register waiter, re-check tail) so that
+    // either the receiver sees the new tail or this load sees its waiter
+    // registration — a wake-up is never lost.
+    r.doorbell.fetch_add(1, std::memory_order_seq_cst);
+    if (r.waiters.load(std::memory_order_seq_cst) != 0)
+      futex_wake_all(r.doorbell);
     return true;
   }
 
@@ -62,28 +110,35 @@ class ShmTransport final : public core::Transport {
     ShmRing& r = group_->ring(from, rank_);
     const std::uint8_t* buf = group_->ring_data(from, rank_);
     const std::uint64_t cap = group_->ring_bytes();
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(deadline_ms);
-    for (;;) {
-      const std::uint64_t head = r.head.load(std::memory_order_relaxed);
-      const std::uint64_t tail = r.tail.load(std::memory_order_acquire);
-      // The producer publishes tail once per whole datagram, so any
-      // readable length prefix is followed by its complete body.
-      if (tail - head >= 4) {
-        std::uint8_t prefix[4];
-        read_wrapped(buf, cap, head, prefix, 4);
-        std::uint32_t len;
-        std::memcpy(&len, prefix, 4);
-        COLUMBIA_REQUIRE(tail - head >= 4 + std::uint64_t(len));
-        datagram.resize(len);
-        read_wrapped(buf, cap, head + 4, datagram.data(), len);
-        r.head.store(head + 4 + len, std::memory_order_release);
-        return core::RecvOutcome::Ok;
-      }
-      if (std::chrono::steady_clock::now() >= until)
-        return core::RecvOutcome::Timeout;
-      std::this_thread::sleep_for(kPollNap);
+    const auto until = Clock::now() + std::chrono::milliseconds(deadline_ms);
+    // We are the ring's only consumer: head moves only here.
+    const std::uint64_t head = r.head.load(std::memory_order_relaxed);
+    const auto readable = [&] {
+      return r.tail.load(std::memory_order_acquire) - head >= 4;
+    };
+    for (int i = 0; !readable() && i < kRecvSpinChecks; ++i) cpu_relax();
+    while (!readable()) {
+      if (Clock::now() >= until) return core::RecvOutcome::Timeout;
+      const std::uint32_t bell = r.doorbell.load(std::memory_order_seq_cst);
+      r.waiters.fetch_add(1, std::memory_order_seq_cst);
+      // A datagram published before `bell` was read is visible to this
+      // re-check; one published after it changes the doorbell, so the
+      // futex returns at once instead of sleeping.
+      if (!readable()) futex_wait(r.doorbell, bell, until);
+      r.waiters.fetch_sub(1, std::memory_order_seq_cst);
     }
+    // The producer publishes tail once per whole datagram, so any
+    // readable length prefix is followed by its complete body.
+    const std::uint64_t tail = r.tail.load(std::memory_order_acquire);
+    std::uint8_t prefix[4];
+    read_wrapped(buf, cap, head, prefix, 4);
+    std::uint32_t len;
+    std::memcpy(&len, prefix, 4);
+    COLUMBIA_REQUIRE(tail - head >= 4 + std::uint64_t(len));
+    datagram.resize(len);
+    read_wrapped(buf, cap, head + 4, datagram.data(), len);
+    r.head.store(head + 4 + len, std::memory_order_release);
+    return core::RecvOutcome::Ok;
   }
 
   /// A reset loses in-flight data: discard everything queued toward this
@@ -134,6 +189,8 @@ ShmGroup::ShmGroup(int size, ShmGroupOptions options)
                                    std::size_t(t))) ShmRing;
       r->head.store(0, std::memory_order_relaxed);
       r->tail.store(0, std::memory_order_relaxed);
+      r->doorbell.store(0, std::memory_order_relaxed);
+      r->waiters.store(0, std::memory_order_relaxed);
     }
 }
 

@@ -9,8 +9,18 @@
 // that observes the tail sees complete messages — the ring never delivers
 // a torn datagram (the frame checksum above would catch one anyway).
 //
+// Waiting is event-driven: every ring carries a doorbell word that send()
+// bumps after publishing the tail. recv() spins for a short fixed budget
+// (kRecvSpinChecks), then sleeps on the doorbell with FUTEX_WAIT until the
+// caller's deadline; send() issues FUTEX_WAKE only when a receiver has
+// registered as waiting, so the uncontended path makes no system call. The
+// futex is the shared (not process-private) kind: the ring lives in a
+// MAP_SHARED mapping inherited across fork, and the kernel keys shared
+// futexes by the backing page, so a child's wake reaches the parent's
+// waiter.
+//
 // Failure semantics: send() reports false when the ring stays full past a
-// bounded wait (the peer stopped draining); recv() polls until the
+// bounded wait (the peer stopped draining); recv() waits until the
 // deadline; inject_reset drops everything in flight toward this member,
 // which is what a real link reset does to unacknowledged data.
 #pragma once
@@ -33,10 +43,23 @@ struct ShmGroupOptions {
 /// One SPSC ring: head is the consumer cursor, tail the producer cursor
 /// (both monotone; the ring holds tail - head live bytes). Lives inside
 /// the shared mapping, so members must be trivially layout-stable.
+/// `doorbell` is the futex word the producer bumps once per datagram;
+/// `waiters` counts consumers parked (or about to park) on it.
 struct ShmRing {
   alignas(64) std::atomic<std::uint64_t> head;
   alignas(64) std::atomic<std::uint64_t> tail;
+  alignas(64) std::atomic<std::uint32_t> doorbell;
+  std::atomic<std::uint32_t> waiters;
 };
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+                  std::atomic<std::uint32_t>::is_always_lock_free,
+              "the doorbell must be a plain 32-bit futex word");
+
+/// Re-checks of the tail recv() makes before sleeping on the doorbell: an
+/// answer that is already on its way (a peer's Ack, a frame just being
+/// written) costs a few microseconds of spinning instead of two context
+/// switches.
+inline constexpr int kRecvSpinChecks = 256;
 
 /// The shared fabric. Construct in the parent BEFORE forking; endpoints
 /// work from the parent (loopback harness) or any forked child. The group

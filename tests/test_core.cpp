@@ -36,6 +36,17 @@ void* operator new(std::size_t n) {
   return p;
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the runtime they pair a foreign allocation with the free()
+// below, which AddressSanitizer reports as an alloc-dealloc mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  void* p = std::malloc(n ? n : 1);
+  if (p) g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
 void* operator new(std::size_t n, std::align_val_t al) {
   void* p = std::aligned_alloc(std::size_t(al),
                                (n + std::size_t(al) - 1) &

@@ -369,7 +369,7 @@ smp::ProcessGroup::Body exchange_body(int rounds,
     core::ExchangePlan plan(s.requests, opt);
     core::PartitionData got;
     for (int round = 0; round < rounds; ++round) got = plan.exchange(s.data);
-    plan.drain();  // exit grace, as in test_transport
+    core::leave_group(t);  // Fin handshake, as in test_transport
     if (!result_base.empty()) {
       std::ofstream os(obs::rank_suffixed_path(result_base + ".txt", rank));
       os << std::hexfloat;

@@ -406,7 +406,7 @@ TEST(Agglomeration, ParkedMemberAgreesBitwiseWithFullRank) {
             for (auto& d : s.data)
               for (auto& v : d) v += 0.5 * real_t(round + 1);
           }
-          plan.drain(50);
+          core::leave_group(*t);
           codes[std::size_t(r)] = 0;
         } catch (const std::exception&) {
           codes[std::size_t(r)] = 70;

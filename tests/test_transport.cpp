@@ -13,6 +13,8 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -353,6 +355,163 @@ TEST(FailureDetection, InjectedPeerHangThrowsOnLocalBackend) {
   EXPECT_EQ(t->counters().peer_lost(), 1u);
 }
 
+// --- Group exit: the Fin handshake ------------------------------------------
+
+/// Forwards to another endpoint but destroys, in flight, every outgoing
+/// datagram `lose` selects — a deterministic stand-in for the frames a
+/// conn_reset takes with it.
+class LossyEndpoint final : public core::Transport {
+ public:
+  LossyEndpoint(core::Transport& inner,
+                std::function<bool(const core::WireHeader&)> lose)
+      : inner_(inner), lose_(std::move(lose)) {}
+
+  core::TransportBackend backend() const override { return inner_.backend(); }
+  int group_rank() const override { return inner_.group_rank(); }
+  int group_size() const override { return inner_.group_size(); }
+  bool send(int to, std::span<const std::uint8_t> datagram) override {
+    core::WireHeader h;
+    std::vector<real_t> frame;
+    if (core::decode_wire(datagram, h, frame) && lose_(h)) {
+      ++lost;
+      return true;  // "sent": the fabric destroyed it afterwards
+    }
+    return inner_.send(to, datagram);
+  }
+  core::RecvOutcome recv(int from, std::vector<std::uint8_t>& datagram,
+                         int deadline_ms) override {
+    return inner_.recv(from, datagram, deadline_ms);
+  }
+
+  int lost = 0;
+
+ private:
+  core::Transport& inner_;
+  std::function<bool(const core::WireHeader&)> lose_;
+};
+
+struct MemberExit {
+  int code = -1;  // 0 ok, 2 wrong halo values, 70 exception
+  core::GroupExit exit = core::GroupExit::Alone;
+  std::uint64_t fallbacks = 0;
+  int lost = 0;
+};
+
+/// One thread per member of an in-process group: `rounds` replicated
+/// exchanges, then leave_group. `lose(rank)` (optional) names the
+/// datagrams that member's wire destroys.
+std::vector<MemberExit> run_local_group(
+    int members, int rounds, int quiet_ms,
+    const std::function<bool(int, const core::WireHeader&)>& lose = {}) {
+  const Scenario s = make_scenario(6, 18, 14, 21);
+  const core::PartitionData want = expected(s);
+  core::LocalGroup group(members);
+  std::vector<MemberExit> out{std::size_t(members)};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < members; ++r)
+    threads.emplace_back([&, r] {
+      MemberExit& me = out[std::size_t(r)];
+      try {
+        auto ep = group.endpoint(r);
+        LossyEndpoint t(*ep, [&](const core::WireHeader& h) {
+          return lose && lose(r, h);
+        });
+        core::ExchangePlanOptions opt;
+        opt.transport = &t;
+        opt.wire = test_wire();
+        opt.wire.loopback_self = false;
+        core::ExchangePlan plan(s.requests, opt);
+        me.code = 0;
+        for (int round = 0; round < rounds; ++round)
+          if (plan.exchange(s.data) != want) me.code = 2;
+        me.exit = core::leave_group(t, quiet_ms);
+        me.fallbacks = t.counters().exit_fallbacks();
+        me.lost = t.lost;
+      } catch (const std::exception&) {
+        me.code = 70;
+      }
+    });
+  for (auto& th : threads) th.join();
+  return out;
+}
+
+TEST(GroupExit, CleanLocalGroupsLeaveThroughTheHandshake) {
+  for (const int members : {2, 3}) {
+    // A quiet window far beyond the test's run time: only the handshake
+    // can end these exits early, and the outcome says which path ran.
+    for (const MemberExit& m : run_local_group(members, 3, 60000)) {
+      EXPECT_EQ(m.code, 0) << members << " members";
+      EXPECT_EQ(int(m.exit), int(core::GroupExit::Handshake))
+          << members << " members";
+      EXPECT_EQ(m.fallbacks, 0u);
+    }
+  }
+}
+
+TEST(GroupExit, SingleMemberLeavesAlone) {
+  core::LocalGroup group(1);
+  auto t = group.endpoint(0);
+  EXPECT_EQ(int(core::leave_group(*t)), int(core::GroupExit::Alone));
+  EXPECT_EQ(t->counters().exit_fallbacks(), 0u);
+}
+
+TEST(GroupExit, DestroyedFinFallsBackToTheQuietWindow) {
+  // Member 1's Fin never reaches member 0. Member 1 still holds member 0's
+  // Fin and leaves through the handshake; member 0 waits out the quiet
+  // window, counts one fallback, and leaves cleanly all the same.
+  const auto out = run_local_group(2, 2, 50, [](int r, const core::WireHeader& h) {
+    return r == 1 && core::WireType(h.type) == core::WireType::Fin;
+  });
+  EXPECT_EQ(out[0].code, 0);
+  EXPECT_EQ(out[1].code, 0);
+  EXPECT_EQ(int(out[0].exit), int(core::GroupExit::Fallback));
+  EXPECT_EQ(out[0].fallbacks, 1u);
+  EXPECT_EQ(int(out[1].exit), int(core::GroupExit::Handshake));
+  EXPECT_EQ(out[1].fallbacks, 0u);
+  EXPECT_GT(out[1].lost, 0);
+}
+
+TEST(GroupExit, StrandedFinalAcksStillComplete) {
+  // The first Ack member 1 sends for each channel of the last round dies
+  // in flight (what a conn_reset does to it). Member 0 must still complete
+  // the round — through a re-Ack or through member 1's Fin, which
+  // acknowledges every channel member 1 receives — and both leave
+  // through the handshake.
+  constexpr std::uint64_t kLastRound = 1;
+  std::set<std::uint32_t> stranded;  // touched by member 1's thread only
+  const auto out = run_local_group(
+      2, int(kLastRound) + 1, 60000, [&](int r, const core::WireHeader& h) {
+        return r == 1 && core::WireType(h.type) == core::WireType::Ack &&
+               h.seq == kLastRound && stranded.insert(h.channel).second;
+      });
+  for (const MemberExit& m : out) {
+    EXPECT_EQ(m.code, 0);
+    EXPECT_EQ(int(m.exit), int(core::GroupExit::Handshake));
+  }
+  EXPECT_GT(out[1].lost, 0);
+}
+
+/// Member 0 of a pair whose peer the fabric proves gone: every receive
+/// reports PeerGone, every send vanishes.
+class GonePeerEndpoint final : public core::Transport {
+ public:
+  core::TransportBackend backend() const override {
+    return core::TransportBackend::Tcp;
+  }
+  int group_rank() const override { return 0; }
+  int group_size() const override { return 2; }
+  bool send(int, std::span<const std::uint8_t>) override { return true; }
+  core::RecvOutcome recv(int, std::vector<std::uint8_t>&, int) override {
+    return core::RecvOutcome::PeerGone;
+  }
+};
+
+TEST(GroupExit, PeerGoneCountsAsFinished) {
+  GonePeerEndpoint t;
+  EXPECT_EQ(int(core::leave_group(t, 60000)), int(core::GroupExit::Handshake));
+  EXPECT_EQ(t.counters().exit_fallbacks(), 0u);
+}
+
 // --- ProcessGroup: forked ranks, heartbeats, recovery ----------------------
 
 /// Child body: the full replicated exchange protocol over the group wire,
@@ -370,9 +529,9 @@ smp::ProcessGroup::Body exchange_body(int rounds) {
     core::ExchangePlan plan(s.requests, opt);
     for (int round = 0; round < rounds; ++round)
       if (plan.exchange(s.data) != want) return 2;
-    // Exit grace: a member leaving the instant its schedule completes can
-    // strand a peer whose final Ack a conn_reset destroyed.
-    plan.drain();
+    // Fin handshake: a member leaving the instant its schedule completes
+    // can strand a peer whose final Ack a conn_reset destroyed.
+    core::leave_group(t);
     return 0;
   };
 }
@@ -392,6 +551,8 @@ TEST(ProcessGroup, ShmRanksExchangeBitIdentical) {
     EXPECT_TRUE(m.exited);
     EXPECT_EQ(m.exit_code, 0);
     EXPECT_GT(m.heartbeats, 0u);
+    // Every rank left through the all-Fin handshake.
+    EXPECT_EQ(m.counters.exit_fallbacks(), 0u);
   }
 }
 
