@@ -28,8 +28,7 @@ index_t num_colors(std::span<const index_t> colors);
 /// Color-major traversal order for a coloring: `perm[k]` is the original
 /// id of the k-th item after a stable sort by color, and color `c`
 /// occupies the contiguous span [offsets[c], offsets[c+1]). Reordering
-/// edge arrays with `perm` makes every color a contiguous, race-free span
-/// for the threaded scatter loops.
+/// edge arrays with `perm` makes every color a contiguous span.
 struct ColorOrder {
   std::vector<index_t> perm;         // new position -> original id
   std::vector<std::size_t> offsets;  // size num_colors + 1

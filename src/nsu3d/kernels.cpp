@@ -7,6 +7,7 @@
 #include "linalg/block_tridiag.hpp"
 #include "obs/obs.hpp"
 #include "smp/pool.hpp"
+#include "support/assert.hpp"
 
 namespace columbia::nsu3d::kernels {
 
@@ -18,25 +19,39 @@ using linalg::BlockVec;
 
 namespace {
 
-// Chunk grains for the pooled loops; fixed constants so chunk boundaries —
-// and with them floating-point combine order — never depend on the thread
-// count (see smp::ThreadPool's determinism contract).
+// Chunk grains for the pooled node/line loops; fixed constants so chunk
+// boundaries — and with them floating-point combine order — never depend
+// on the thread count (see smp::ThreadPool's determinism contract).
 constexpr std::size_t kNodeGrain = 256;
-constexpr std::size_t kEdgeGrain = 512;
 constexpr std::size_t kLineGrain = 2;
 
-/// Runs `body(edge)` over every edge, one color span at a time. Edges in
-/// a span touch disjoint nodes (Level::finalize_edges), so the scatter is
-/// race-free; processing colors in order keeps per-node accumulation
-/// order fixed for every thread count.
+using Own = std::true_type;
+using NotOwn = std::false_type;
+
+/// Runs `body(e, own_a, own_b)` over every edge as ONE pool job with one
+/// task per owner part (see EdgeOwners). `own_a` / `own_b` are
+/// std::bool_constant tags: the body accumulates into an endpoint only
+/// when its tag is set, and writes per-edge outputs only when it owns
+/// side a. Each node is thus written by a single task, in ascending edge
+/// order, for every part count.
 template <class Fn>
-void for_edges_colored(const Level& lvl, Fn&& body) {
-  smp::ThreadPool& pool = smp::ThreadPool::global();
-  for (std::size_t c = 0; c + 1 < lvl.color_offsets.size(); ++c)
-    pool.parallel_for(lvl.color_offsets[c], lvl.color_offsets[c + 1],
-                      kEdgeGrain, [&](std::size_t b, std::size_t e, int) {
-                        for (std::size_t k = b; k < e; ++k) body(k);
-                      });
+void for_edges_owned(const Level& lvl, Scratch& s, Fn&& body) {
+  const EdgeOwners& own = edge_owners(lvl, s);
+  const std::size_t* const off = own.offsets.data();
+  const std::uint32_t* const ent = own.entries.data();
+  smp::ThreadPool::global().parallel_for(
+      0, std::size_t(own.parts), 1, [&](std::size_t pb, std::size_t pe, int) {
+        for (std::size_t p = pb; p < pe; ++p)
+          for (std::size_t k = off[p]; k < off[p + 1]; ++k) {
+            const std::uint32_t x = ent[k];
+            const std::size_t e = x >> 2;
+            switch (x & EdgeOwners::kOwnBoth) {
+              case EdgeOwners::kOwnBoth: body(e, Own{}, Own{}); break;
+              case EdgeOwners::kOwnA: body(e, Own{}, NotOwn{}); break;
+              default: body(e, NotOwn{}, Own{}); break;
+            }
+          }
+      });
 }
 
 /// Elementwise (no cross-index writes) loop over [0, n).
@@ -69,7 +84,7 @@ real_t venkat(real_t dplus, real_t dq, real_t eps2) {
 // runtime alias-check loop versions (edge endpoints are distinct nodes, so
 // the a/b blocks never overlap). Each 6-wide component loop then
 // vectorizes unconditionally — elementwise, no reassociation.
-template <bool MinMax>
+template <bool MinMax, bool A, bool B>
 inline void grad_edge(real_t* __restrict ga, real_t* __restrict gbb,
                       const real_t* __restrict pa,
                       const real_t* __restrict pbv, real_t enx, real_t eny,
@@ -77,15 +92,21 @@ inline void grad_edge(real_t* __restrict ga, real_t* __restrict gbb,
   for (std::size_t c = 0; c < 6; ++c) {
     const real_t qa = pa[c], qb = pbv[c];
     const real_t qf = 0.5 * (qa + qb);
-    ga[c] += qf * enx;
-    ga[6 + c] += qf * eny;
-    ga[12 + c] += qf * enz;
-    gbb[c] -= qf * enx;
-    gbb[6 + c] -= qf * eny;
-    gbb[12 + c] -= qf * enz;
-    if constexpr (MinMax) {
+    if constexpr (A) {
+      ga[c] += qf * enx;
+      ga[6 + c] += qf * eny;
+      ga[12 + c] += qf * enz;
+    }
+    if constexpr (B) {
+      gbb[c] -= qf * enx;
+      gbb[6 + c] -= qf * eny;
+      gbb[12 + c] -= qf * enz;
+    }
+    if constexpr (MinMax && A) {
       ga[18 + c] = std::min(ga[18 + c], qb);
       ga[24 + c] = std::max(ga[24 + c], qb);
+    }
+    if constexpr (MinMax && B) {
       gbb[18 + c] = std::min(gbb[18 + c], qa);
       gbb[24 + c] = std::max(gbb[24 + c], qa);
     }
@@ -130,6 +151,65 @@ void Scratch::resize(const Level& lvl) {
   gb.resize(n * kGradStride);
   ph.resize(n * kPhiStride);
   edq.resize(lvl.edges.size() * kEdqStride);
+}
+
+void EdgeOwners::build(const Level& lvl, int num_parts) {
+  COLUMBIA_REQUIRE(num_parts >= 1);
+  const std::size_t n = std::size_t(lvl.num_nodes);
+  const std::size_t ne = lvl.edges.size();
+  COLUMBIA_REQUIRE(ne < (std::size_t(1) << 30));
+  const std::size_t np = std::size_t(num_parts);
+  parts = num_parts;
+  num_nodes = n;
+  num_edges = ne;
+
+  // Contiguous node ranges with about 2E / P edge endpoints each. `part`
+  // first counts each node's edges, then holds the node's part.
+  std::vector<std::uint32_t> part(n, 0);
+  for (std::size_t e = 0; e < ne; ++e) {
+    ++part[std::size_t(lvl.edge_a[e])];
+    ++part[std::size_t(lvl.edge_b[e])];
+  }
+  node_begin.assign(np + 1, index_t(n));
+  node_begin[0] = 0;
+  std::size_t seen = 0, p = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    while (p < np && seen * np >= p * 2 * ne) node_begin[p++] = index_t(i);
+    seen += part[i];
+    part[i] = std::uint32_t(p - 1);
+  }
+
+  // Per-part counts, then one ascending pass over the edges.
+  offsets.assign(np + 1, 0);
+  for (std::size_t e = 0; e < ne; ++e) {
+    const std::uint32_t pa = part[std::size_t(lvl.edge_a[e])];
+    const std::uint32_t pb = part[std::size_t(lvl.edge_b[e])];
+    ++offsets[pa + 1];
+    if (pb != pa) ++offsets[pb + 1];
+  }
+  for (std::size_t q = 0; q < np; ++q) offsets[q + 1] += offsets[q];
+  entries.resize(offsets[np]);
+  std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
+  for (std::size_t e = 0; e < ne; ++e) {
+    const std::uint32_t pa = part[std::size_t(lvl.edge_a[e])];
+    const std::uint32_t pb = part[std::size_t(lvl.edge_b[e])];
+    const std::uint32_t tag = std::uint32_t(e) << 2;
+    if (pa == pb) {
+      entries[fill[pa]++] = tag | kOwnBoth;
+    } else {
+      entries[fill[pa]++] = tag | kOwnA;
+      entries[fill[pb]++] = tag | kOwnB;
+    }
+  }
+}
+
+const EdgeOwners& edge_owners(const Level& lvl, Scratch& s) {
+  const int width = smp::ThreadPool::global().num_threads();
+  EdgeOwners& own = s.owners;
+  if (own.parts != width || own.num_nodes != std::size_t(lvl.num_nodes) ||
+      own.num_edges != lvl.edges.size())
+    own.build(lvl, width);
+  return own;
 }
 
 namespace {
@@ -245,11 +325,12 @@ void gradients_sweep(const Level& lvl, Scratch& s, bool with_minmax) {
   const real_t* const ny = lvl.edge_ny.data();
   const real_t* const nz = lvl.edge_nz.data();
   auto sweep = [&](auto minmax) {
-    for_edges_colored(lvl, [&](std::size_t e) {
+    for_edges_owned(lvl, s, [&](std::size_t e, auto own_a, auto own_b) {
+      constexpr bool A = decltype(own_a)::value, B = decltype(own_b)::value;
       const std::size_t a = std::size_t(ea[e]);
       const std::size_t b = std::size_t(eb[e]);
       const real_t enx = nx[e], eny = ny[e], enz = nz[e];
-      grad_edge<decltype(minmax)::value>(
+      grad_edge<decltype(minmax)::value, A, B>(
           gb + a * kGradStride, gb + b * kGradStride, pb + a * kPrimStride,
           pb + b * kPrimStride, enx, eny, enz);
     });
@@ -293,7 +374,8 @@ void limiter(const Level& lvl, Scratch& s) {
   const real_t* const dx = lvl.edge_dx.data();
   const real_t* const dy = lvl.edge_dy.data();
   const real_t* const dz = lvl.edge_dz.data();
-  for_edges_colored(lvl, [&](std::size_t e) {
+  for_edges_owned(lvl, s, [&](std::size_t e, auto own_a, auto own_b) {
+    constexpr bool A = decltype(own_a)::value, B = decltype(own_b)::value;
     const std::size_t a = std::size_t(ea[e]);
     const std::size_t b = std::size_t(eb[e]);
     const real_t dxe = dx[e], dye = dy[e], dze = dz[e];
@@ -304,28 +386,35 @@ void limiter(const Level& lvl, Scratch& s) {
     const real_t* const gbb = gb + b * kGradStride;
     real_t* const pha = ph + a * kPhiStride;
     real_t* const phb = ph + b * kPhiStride;
-    real_t* const ed = edq + e * kEdqStride;
     // Vectorized directional differences, cached per edge: the flux
     // reconstruction reuses them bitwise instead of re-gathering the
-    // gradients. The venkat pass stays scalar: the data-dependent branches
-    // skip the division entirely for near-constant components, which a
-    // branchless/vectorized form (measured) cannot.
+    // gradients. Only side a's owner stores them; a task owning just side
+    // b evaluates the identical expression into a local copy. The venkat
+    // pass stays scalar: the data-dependent branches skip the division
+    // entirely for near-constant components, which a branchless/vectorized
+    // form (measured) cannot.
+    real_t local[kEdqStride] = {};
+    real_t* const ed = A ? edq + e * kEdqStride : local;
     limiter_dq(ed, ga, gbb, dxe, dye, dze);
     for (std::size_t c = 0; c < 6; ++c) {
-      const real_t dqa = ed[c];
-      const real_t dqb = ed[6 + c];
-      real_t lim_a = 1.0;
-      if (dqa > 1e-14)
-        lim_a = venkat(ga[24 + c] - pa[c], dqa, eps2);
-      else if (dqa < -1e-14)
-        lim_a = venkat(pa[c] - ga[18 + c], -dqa, eps2);
-      pha[c] = std::min(pha[c], lim_a);
-      real_t lim_b = 1.0;
-      if (dqb > 1e-14)
-        lim_b = venkat(gbb[24 + c] - pbv[c], dqb, eps2);
-      else if (dqb < -1e-14)
-        lim_b = venkat(pbv[c] - gbb[18 + c], -dqb, eps2);
-      phb[c] = std::min(phb[c], lim_b);
+      if constexpr (A) {
+        const real_t dqa = ed[c];
+        real_t lim_a = 1.0;
+        if (dqa > 1e-14)
+          lim_a = venkat(ga[24 + c] - pa[c], dqa, eps2);
+        else if (dqa < -1e-14)
+          lim_a = venkat(pa[c] - ga[18 + c], -dqa, eps2);
+        pha[c] = std::min(pha[c], lim_a);
+      }
+      if constexpr (B) {
+        const real_t dqb = ed[6 + c];
+        real_t lim_b = 1.0;
+        if (dqb > 1e-14)
+          lim_b = venkat(gbb[24 + c] - pbv[c], dqb, eps2);
+        else if (dqb < -1e-14)
+          lim_b = venkat(pbv[c] - gbb[18 + c], -dqb, eps2);
+        phb[c] = std::min(phb[c], lim_b);
+      }
     }
   });
 }
@@ -333,7 +422,7 @@ void limiter(const Level& lvl, Scratch& s) {
 namespace {
 
 template <euler::FluxScheme S>
-void flux_edges_impl(const Level& lvl, const Physics& phys, const Scratch& s,
+void flux_edges_impl(const Level& lvl, const Physics& phys, Scratch& s,
                      bool second_order, std::vector<State>& res) {
   // Everything a flux evaluation needs per node — reconstruction scalars,
   // eddy viscosity, p/rho — sits in the one-line prim block; the limiter
@@ -352,7 +441,8 @@ void flux_edges_impl(const Level& lvl, const Physics& phys, const Scratch& s,
   const index_t* const ea = lvl.edge_a.data();
   const index_t* const eb = lvl.edge_b.data();
   const real_t* const geo_ = lvl.edge_geo.data();
-  for_edges_colored(lvl, [&](std::size_t e) {
+  for_edges_owned(lvl, s, [&](std::size_t e, auto own_a, auto own_b) {
+    constexpr bool A = decltype(own_a)::value, B = decltype(own_b)::value;
     const std::size_t a = std::size_t(ea[e]);
     const std::size_t b = std::size_t(eb[e]);
     const real_t area = lvl.edge_area[e];
@@ -385,11 +475,11 @@ void flux_edges_impl(const Level& lvl, const Physics& phys, const Scratch& s,
     const real_t fnut = mdot * (mdot >= 0 ? nut_l : nut_r);
     for (std::size_t c = 0; c < 5; ++c) {
       const real_t fc = area * flux[c];
-      r[a][c] += fc;
-      r[b][c] -= fc;
+      if constexpr (A) r[a][c] += fc;
+      if constexpr (B) r[b][c] -= fc;
     }
-    r[a][5] += fnut;
-    r[b][5] -= fnut;
+    if constexpr (A) r[a][5] += fnut;
+    if constexpr (B) r[b][5] -= fnut;
 
     // Thin-layer viscous terms; edge_geo carries the area/length metric
     // (positive exactly when the scalar path's length guard passed).
@@ -400,12 +490,16 @@ void flux_edges_impl(const Level& lvl, const Physics& phys, const Scratch& s,
       const Vec3 va{pa[1], pa[2], pa[3]};
       const Vec3 vb{pbv[1], pbv[2], pbv[3]};
       const Vec3 dvel = vb - va;
-      r[a][1] -= cm * dvel.x;
-      r[a][2] -= cm * dvel.y;
-      r[a][3] -= cm * dvel.z;
-      r[b][1] += cm * dvel.x;
-      r[b][2] += cm * dvel.y;
-      r[b][3] += cm * dvel.z;
+      if constexpr (A) {
+        r[a][1] -= cm * dvel.x;
+        r[a][2] -= cm * dvel.y;
+        r[a][3] -= cm * dvel.z;
+      }
+      if constexpr (B) {
+        r[b][1] += cm * dvel.x;
+        r[b][2] += cm * dvel.y;
+        r[b][3] += cm * dvel.z;
+      }
       // Shear work + conduction lumped into an energy Laplacian with the
       // thermal coefficient (thin-layer approximation).
       const real_t ck = (mu_pr + mutm / kPrandtlTurb) * euler::kGamma /
@@ -415,8 +509,8 @@ void flux_edges_impl(const Level& lvl, const Physics& phys, const Scratch& s,
       const Vec3 vm = 0.5 * (va + vb);
       const real_t dke = dot(vm, dvel);
       const real_t de = ck * dT + cm * dke;
-      r[a][4] -= de;
-      r[b][4] += de;
+      if constexpr (A) r[a][4] -= de;
+      if constexpr (B) r[b][4] += de;
       // SA diffusion: (1/sigma) rho (nu + nu~) grad nu~.
       const real_t rho_m = 0.5 * (pa[0] + pbv[0]);
       const real_t nu_m = mu_lam / rho_m;
@@ -424,8 +518,8 @@ void flux_edges_impl(const Level& lvl, const Physics& phys, const Scratch& s,
       const real_t cs =
           rho_m * (nu_m + std::max<real_t>(nut_m, 0)) / kSigma * geo;
       const real_t ds = cs * (pbv[5] - pa[5]);
-      r[a][5] -= ds;
-      r[b][5] += ds;
+      if constexpr (A) r[a][5] -= ds;
+      if constexpr (B) r[b][5] += ds;
     }
   });
 }
@@ -436,7 +530,7 @@ namespace {
 
 /// Flux edge sweep without the zeroing pass — the fused residual() zeroes
 /// `res` inside prim_cache_impl instead.
-void flux_sweep(const Level& lvl, const Physics& phys, const Scratch& s,
+void flux_sweep(const Level& lvl, const Physics& phys, Scratch& s,
                 bool second_order, std::vector<State>& res) {
   switch (phys.flux) {
     case euler::FluxScheme::Roe:
@@ -455,7 +549,7 @@ void flux_sweep(const Level& lvl, const Physics& phys, const Scratch& s,
 
 }  // namespace
 
-void flux_residual(const Level& lvl, const Physics& phys, const Scratch& s,
+void flux_residual(const Level& lvl, const Physics& phys, Scratch& s,
                    bool second_order, std::vector<State>& res) {
   res.assign(std::size_t(lvl.num_nodes), State{});
   flux_sweep(lvl, phys, s, second_order, res);
@@ -658,21 +752,22 @@ void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s) {
 
   const index_t* const ea = lvl.edge_a.data();
   const index_t* const eb = lvl.edge_b.data();
-  for_edges_colored(lvl, [&](std::size_t e) {
+  for_edges_owned(lvl, s, [&](std::size_t e, auto own_a, auto own_b) {
+    constexpr bool A = decltype(own_a)::value, B = decltype(own_b)::value;
     const std::size_t a = std::size_t(ea[e]);
     const std::size_t b = std::size_t(eb[e]);
     const real_t area = lvl.edge_area[e];
     if (area <= 0) return;
     const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
-    wave[a] += (std::abs(dot(w[a].vel, nh)) + snd[a]) * area;
-    wave[b] += (std::abs(dot(w[b].vel, nh)) + snd[b]) * area;
+    if constexpr (A) wave[a] += (std::abs(dot(w[a].vel, nh)) + snd[a]) * area;
+    if constexpr (B) wave[b] += (std::abs(dot(w[b].vel, nh)) + snd[b]) * area;
     if (viscous && lvl.edge_length[e] > 0) {
       // (coef * area) / length — the association differs from coef *
       // edge_geo, so the per-edge division stays.
       const real_t c =
           (mu_lam + 0.5 * (mut[a] + mut[b])) * area / lvl.edge_length[e];
-      wave[a] += c / w[a].rho;
-      wave[b] += c / w[b].rho;
+      if constexpr (A) wave[a] += c / w[a].rho;
+      if constexpr (B) wave[b] += c / w[b].rho;
     }
   });
   for_nodes(n, [&](std::size_t i) {
@@ -702,38 +797,40 @@ void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
   });
   const index_t* const ea = lvl.edge_a.data();
   const index_t* const eb = lvl.edge_b.data();
-  for_edges_colored(lvl, [&](std::size_t e) {
+  // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
+  // Each side's block depends only on its own endpoint, so a task owning
+  // one side of an edge evaluates only that side's Jacobian.
+  const auto add_side = [&](std::size_t i, const Vec3& nrm, real_t lam) {
+    const BlockMat<5> j = euler::flux_jacobian(w[i], nrm);
+    for (int rr = 0; rr < 5; ++rr)
+      for (int cc = 0; cc < 5; ++cc) diag[i](rr, cc) += 0.5 * j(rr, cc);
+    for (int rr = 0; rr < 5; ++rr) diag[i](rr, rr) += 0.5 * lam;
+    diag[i](5, 5) += 0.5 * lam;
+  };
+  for_edges_owned(lvl, s, [&](std::size_t e, auto own_a, auto own_b) {
+    constexpr bool A = decltype(own_a)::value, B = decltype(own_b)::value;
     const std::size_t a = std::size_t(ea[e]);
     const std::size_t b = std::size_t(eb[e]);
     const real_t area = lvl.edge_area[e];
     if (area <= 0) return;
     const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
-    const real_t lam_a = (std::abs(dot(w[a].vel, nh)) + snd[a]) * area;
-    const real_t lam_b = (std::abs(dot(w[b].vel, nh)) + snd[b]) * area;
-    // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
-    const BlockMat<5> ja = euler::flux_jacobian(w[a], lvl.edge_normal[e]);
-    const BlockMat<5> jb =
-        euler::flux_jacobian(w[b], -1.0 * lvl.edge_normal[e]);
-    for (int rr = 0; rr < 5; ++rr)
-      for (int cc = 0; cc < 5; ++cc) {
-        diag[a](rr, cc) += 0.5 * ja(rr, cc);
-        diag[b](rr, cc) += 0.5 * jb(rr, cc);
-      }
-    for (int rr = 0; rr < 5; ++rr) {
-      diag[a](rr, rr) += 0.5 * lam_a;
-      diag[b](rr, rr) += 0.5 * lam_b;
-    }
-    diag[a](5, 5) += 0.5 * lam_a;
-    diag[b](5, 5) += 0.5 * lam_b;
+    if constexpr (A)
+      add_side(a, lvl.edge_normal[e],
+               (std::abs(dot(w[a].vel, nh)) + snd[a]) * area);
+    if constexpr (B)
+      add_side(b, -1.0 * lvl.edge_normal[e],
+               (std::abs(dot(w[b].vel, nh)) + snd[b]) * area);
     if (viscous && lvl.edge_geo[e] > 0) {
       const real_t geo = lvl.edge_geo[e];
       const real_t cm = (mu_lam + 0.5 * (mut[a] + mut[b])) * geo;
       const real_t cs =
           (mu_lam + 0.5 * (u[a][5] + u[b][5])) / kSigma * geo;
-      for (std::size_t s2 : {a, b}) {
-        for (int rr = 1; rr <= 4; ++rr) diag[s2](rr, rr) += cm;
-        diag[s2](5, 5) += cs;
-      }
+      const auto add_visc = [&](std::size_t i) {
+        for (int rr = 1; rr <= 4; ++rr) diag[i](rr, rr) += cm;
+        diag[i](5, 5) += cs;
+      };
+      if constexpr (A) add_visc(a);
+      if constexpr (B) add_visc(b);
     }
   });
   // Farfield linearization keeps boundary nodes well conditioned.

@@ -4,8 +4,9 @@
 //
 //  * Per-EDGE quantities (endpoints, normals, midpoint offsets, viscous
 //    metric) live in contiguous per-component real_t arrays on Level.
-//    Edge sweeps walk edges in storage order (color-major sort), so each
-//    array is a unit-stride stream the prefetcher handles.
+//    Each edge-sweep task walks its owner list (EdgeOwners) in ascending
+//    storage order, so each array is a forward stream the prefetcher
+//    handles.
 //  * Per-NODE quantities are gathered/scattered by node index inside the
 //    edge sweeps, so what matters is how many cache lines one node visit
 //    touches. They live in fixed-stride per-node component blocks sized
@@ -25,13 +26,16 @@
 // same per-node accumulation order — layout and access-pattern transforms
 // only. Divisions and square roots keep their original operands; values
 // hoisted to setup time (edge geometry, 1/volume, p/rho) are computed with
-// the same expressions the scalar path evaluated per sweep. Combined with
-// the thread pool's fixed chunking, results are bitwise identical for
+// the same expressions the scalar path evaluated per sweep. Node loops use
+// the thread pool's fixed chunking; edge sweeps give every node one owner
+// task that adds its edge contributions in ascending edge order, exactly
+// as the serial loop does. Results are therefore bitwise identical for
 // every thread count and to the pre-SoA implementation.
 #pragma once
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -105,6 +109,27 @@ struct Physics {
   bool viscous = true;
 };
 
+/// Owner-writes decomposition for the edge sweeps. The nodes are split
+/// into `parts` contiguous index ranges balanced by edge endpoints; part p
+/// lists, in ascending edge index, every edge with an endpoint it owns,
+/// flagged with the sides it owns. A sweep runs one task per part, and a
+/// task accumulates into its own nodes only: an edge whose endpoints lie
+/// in two parts is evaluated by both, each writing its own side. So every
+/// node is written by one task, in ascending edge order — the order of a
+/// serial sweep — whatever the part count or the split.
+struct EdgeOwners {
+  static constexpr std::uint32_t kOwnA = 1, kOwnB = 2, kOwnBoth = 3;
+
+  int parts = 0;
+  std::size_t num_nodes = 0, num_edges = 0;  // level the lists describe
+  std::vector<index_t> node_begin;  // part p owns [node_begin[p], node_begin[p+1])
+  std::vector<std::size_t> offsets;  // part p lists entries [offsets[p], offsets[p+1])
+  std::vector<std::uint32_t> entries;  // (edge << 2) | kOwnA / kOwnB bits
+
+  /// Rebuilds the lists for `lvl` split into `num_parts` parts; O(N + E).
+  void build(const Level& lvl, int num_parts);
+};
+
 /// Per-level SoA scratch. Persistent across sweeps (vectors keep their
 /// capacity). Per-node fields use the fixed-stride component blocks
 /// described above; per-edge fields are unit-stride streams.
@@ -138,10 +163,17 @@ struct Scratch {
   };
   std::vector<LineScratch> line_scratch;  // one slot per pool thread
 
+  /// Edge-sweep owner lists, built on first use for the pool width.
+  EdgeOwners owners;
+
   /// Sizes the per-node and per-edge arrays (residual-path fields only;
   /// smoother fields are sized by their kernels).
   void resize(const Level& lvl);
 };
+
+/// The owner lists the edge sweeps use: `s.owners`, rebuilt first when the
+/// pool width or the level's size no longer match it.
+const EdgeOwners& edge_owners(const Level& lvl, Scratch& s);
 
 // --- Residual phase kernels (all pool-parallel, bit-identical across
 // thread counts). Call order: prim_cache -> gradients (optional) ->
@@ -164,7 +196,7 @@ void limiter(const Level& lvl, Scratch& s);
 /// viscous) fluxes. `second_order` enables the limited reconstruction and
 /// requires limiter() to have run for the same state (the reconstruction
 /// reuses the limiter's cached directional differences).
-void flux_residual(const Level& lvl, const Physics& phys, const Scratch& s,
+void flux_residual(const Level& lvl, const Physics& phys, Scratch& s,
                    bool second_order, std::vector<State>& res);
 
 /// Farfield / wall / symmetry boundary closures.

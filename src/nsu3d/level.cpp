@@ -31,9 +31,6 @@ void Level::finalize_edges(bool color) {
     edges = mesh::permuted(edges, order.perm);
     edge_normal = mesh::permuted(edge_normal, order.perm);
     edge_length = mesh::permuted(edge_length, order.perm);
-    color_offsets = std::move(order.offsets);
-  } else {
-    color_offsets = {0, edges.size()};
   }
 
   edge_area.resize(edges.size());

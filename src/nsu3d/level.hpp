@@ -25,13 +25,13 @@ struct Level {
   std::vector<geom::Vec3> edge_normal;             // oriented a -> b
   std::vector<real_t> edge_length;                 // |x_b - x_a| proxy
 
-  /// Color-major edge layout (paper Sec. III: the edge loop is colored so
-  /// accumulate-to-points vectorizes/threads): color c occupies the
-  /// contiguous span [color_offsets[c], color_offsets[c+1]) and no two
-  /// edges within a span share a node, so a scatter over one span is
-  /// race-free. With coloring disabled this degenerates to one span
-  /// covering all edges (serial-only).
-  std::vector<std::size_t> color_offsets;
+  /// Edges are stored color-major (paper Sec. III colors the edge loop):
+  /// sorted by graph color, so consecutive edges rarely share a node. The
+  /// threaded sweeps no longer rely on the colors — each node is written
+  /// by one owner task in ascending edge order (kernels::EdgeOwners), so
+  /// results are bit-identical for any thread count with or without the
+  /// sort — but the sort stays the storage order so histories match those
+  /// computed before.
 
   /// Per-edge geometry precomputed once at level construction (the seed
   /// recomputed norms/normalizations/pow per edge per sweep):
@@ -88,10 +88,6 @@ struct Level {
   /// run after edges/normals/lengths/centers are final.
   void finalize_edges(bool color);
 
-  index_t num_edge_colors() const {
-    return color_offsets.size() < 2 ? 0 : index_t(color_offsets.size() - 1);
-  }
-
   bool is_wall_node(index_t v) const {
     const geom::Vec3& n =
         boundary_normal[std::size_t(v)][std::size_t(mesh::BoundaryTag::Wall)];
@@ -103,8 +99,8 @@ struct LevelOptions {
   int num_levels = 4;
   /// Edge-coupling ratio above which an edge joins an implicit line.
   real_t line_threshold = 4.0;
-  /// Color + reorder edges color-major for the threaded scatter loops.
-  /// Disable only for serial-order equivalence testing.
+  /// Store edges color-major (the storage order of every recorded
+  /// history). Either order is bit-identical across thread counts.
   bool color_edges = true;
 };
 

@@ -66,6 +66,7 @@ Nsu3dSolver::Nsu3dSolver(const mesh::UnstructuredMesh& m,
   forcing_.resize(nl);
   residual_.resize(nl);
   restricted_snapshot_.resize(nl);
+  residual_current_.assign(nl, 0);
   work_.resize(nl);
   State uinf{};
   const euler::Cons c5 = euler::to_conservative(freestream_);
@@ -76,11 +77,13 @@ Nsu3dSolver::Nsu3dSolver(const mesh::UnstructuredMesh& m,
     forcing_[l].assign(std::size_t(levels_[l].num_nodes), State{});
     residual_[l].assign(std::size_t(levels_[l].num_nodes), State{});
   }
-  apply_strong_bcs(0, state_[0]);
+  apply_strong_bcs(0);
 }
 
-void Nsu3dSolver::apply_strong_bcs(int l, std::vector<State>& u) const {
+void Nsu3dSolver::apply_strong_bcs(int l) {
   if (l != 0) return;  // strong conditions live on the true mesh
+  state_changed(0);
+  std::vector<State>& u = state_[0];
   const Level& lvl = levels_[0];
   for (index_t v = 0; v < lvl.num_nodes; ++v) {
     if (opt_.viscous && lvl.is_wall_node(v)) {
@@ -109,9 +112,24 @@ void Nsu3dSolver::apply_strong_bcs(int l, std::vector<State>& u) const {
 void Nsu3dSolver::compute_residual(int l, const std::vector<State>& u,
                                    std::vector<State>& res,
                                    bool second_order) {
+  state_changed(l);  // work_[l].k no longer matches state_[l]
+  residual_into(l, u, res, second_order);
+}
+
+void Nsu3dSolver::residual_into(int l, const std::vector<State>& u,
+                                std::vector<State>& res, bool second_order) {
   OBS_SPAN("nsu3d.residual", "level", l);
   kernels::residual(levels_[std::size_t(l)], phys_, l, u, second_order,
                     work_[std::size_t(l)].k, res);
+}
+
+const std::vector<State>& Nsu3dSolver::level_residual(int l) {
+  const std::size_t k = std::size_t(l);
+  if (!residual_current_[k]) {
+    residual_into(l, state_[k], residual_[k], opt_.second_order && l == 0);
+    residual_current_[k] = 1;
+  }
+  return residual_[k];
 }
 
 void Nsu3dSolver::smooth(int l, int steps) {
@@ -120,24 +138,23 @@ void Nsu3dSolver::smooth(int l, int steps) {
   Workspace& ws = work_[std::size_t(l)];
   std::vector<State>& u = state_[std::size_t(l)];
   const std::vector<State>& f = forcing_[std::size_t(l)];
-  const bool second = opt_.second_order && l == 0;
   const bool lines = opt_.smoother == SmootherKind::LineImplicit;
 
   for (int step = 0; step < steps; ++step) {
-    compute_residual(l, u, residual_[std::size_t(l)], second);
-    std::vector<State>& r = residual_[std::size_t(l)];
-    // The primitive/SoA caches in ws.k were just refreshed by
-    // compute_residual from the same u.
+    // The first step may reuse the residual residual_norm() or the FAS
+    // restriction just computed from this same state.
+    const std::vector<State>& r = level_residual(l);
+    // The primitive/SoA caches in ws.k belong to that residual's state.
     kernels::wave_speeds(lvl, phys_, ws.k);
     kernels::assemble_diag(lvl, phys_, opt_.cfl, u, ws.k);
     if (!lines)
       kernels::point_sweep(lvl, opt_.relax, f, r, ws.k, u);
     else
       kernels::line_sweep(lvl, phys_, opt_.relax, f, r, ws.k, u);
-    apply_strong_bcs(l, u);
+    state_changed(l);
+    apply_strong_bcs(l);
   }
 }
-
 
 void Nsu3dSolver::restrict_to(int l) {
   const Level& fine = levels_[std::size_t(l)];
@@ -162,25 +179,25 @@ void Nsu3dSolver::restrict_to(int l) {
     if (vol[j] > 0)
       for (int c = 0; c < 6; ++c) uc[j][std::size_t(c)] /= vol[j];
   restricted_snapshot_[std::size_t(l) + 1] = uc;
+  state_changed(l + 1);
 
-  compute_residual(l, state_[std::size_t(l)], residual_[std::size_t(l)],
-                   opt_.second_order && l == 0);
+  const std::vector<State>& rf = level_residual(l);
   wsc.transferred.assign(nc, State{});
   std::vector<State>& transferred = wsc.transferred;
   for (index_t i = 0; i < fine.num_nodes; ++i) {
     const std::size_t j = std::size_t(map[std::size_t(i)]);
     for (int c = 0; c < 6; ++c)
       transferred[j][std::size_t(c)] +=
-          residual_[std::size_t(l)][std::size_t(i)][std::size_t(c)] -
+          rf[std::size_t(i)][std::size_t(c)] -
           forcing_[std::size_t(l)][std::size_t(i)][std::size_t(c)];
   }
-  compute_residual(l + 1, uc, residual_[std::size_t(l) + 1], false);
+  // Held for the coarse visit's first smoothing step.
+  const std::vector<State>& rc = level_residual(l + 1);
   fc.assign(nc, State{});
   for (std::size_t j = 0; j < nc; ++j)
     for (int c = 0; c < 6; ++c)
       fc[j][std::size_t(c)] =
-          residual_[std::size_t(l) + 1][j][std::size_t(c)] -
-          transferred[j][std::size_t(c)];
+          rc[j][std::size_t(c)] - transferred[j][std::size_t(c)];
 }
 
 void Nsu3dSolver::prolong_correction(int l) {
@@ -197,11 +214,12 @@ void Nsu3dSolver::prolong_correction(int l) {
                               (uc[j][std::size_t(c)] - snap[j][std::size_t(c)]);
     if (state_valid(unew)) uf[i] = unew;
   });
-  apply_strong_bcs(l, uf);
+  state_changed(l);
+  apply_strong_bcs(l);
 }
 
 real_t Nsu3dSolver::residual_norm() {
-  compute_residual(0, state_[0], residual_[0], opt_.second_order);
+  const std::vector<State>& r0 = level_residual(0);
   const Level& lvl = levels_[0];
   const std::size_t n = std::size_t(lvl.num_nodes);
   // Deterministic tree reduction: fixed chunking, partials combined in
@@ -212,7 +230,7 @@ real_t Nsu3dSolver::residual_norm() {
         for (std::size_t i = b; i < e; ++i) {
           const real_t v = lvl.node_volume[i];
           if (v <= 0) continue;
-          const real_t r = residual_[0][i][0] / v;
+          const real_t r = r0[i][0] / v;
           s += r * r;
         }
         return s;
@@ -228,6 +246,7 @@ real_t Nsu3dSolver::run_cycle() { return driver_.run_cycle(*this); }
 /// Fault hook (COLUMBIA_FAULTS state_nan): poison one energy entry after
 /// the cycle's updates so the guard sees a non-finite residual.
 void Nsu3dSolver::poison_state(std::size_t i) {
+  state_changed(0);
   state_[0][i][4] = std::numeric_limits<real_t>::quiet_NaN();
 }
 
@@ -253,6 +272,7 @@ void Nsu3dSolver::restore_checkpoint(const resil::Checkpoint& c) {
   auto& u = state_[0];
   for (std::size_t i = 0; i < u.size(); ++i)
     for (std::size_t k = 0; k < 6; ++k) u[i][k] = c.state[i * 6 + k];
+  state_changed(0);
 }
 
 resil::GuardedSolveResult Nsu3dSolver::solve_guarded(

@@ -45,8 +45,9 @@ struct Nsu3dOptions : core::SolveParams {
   real_t relax = 0.7;  // update under-relaxation
   bool viscous = true;  // include viscous terms + SA (RANS mode)
   real_t line_threshold = 4.0;
-  /// Color-major edge reorder for threaded scatter loops (see Level).
-  /// Disable only for serial edge-order equivalence tests.
+  /// Color-major edge storage order (see Level). Histories are
+  /// bit-identical across thread counts either way; turning it off changes
+  /// the per-node summation order and so the last bits of the history.
   bool color_edges = true;
 };
 
@@ -119,7 +120,9 @@ class Nsu3dSolver {
 
   /// Residual of `u` on level `l` (public so benchmarks and equivalence
   /// tests can drive the hot kernel directly). Runs on the shared-memory
-  /// pool; results are bit-identical for every thread count.
+  /// pool; results are bit-identical for every thread count. Overwrites
+  /// the level's kernel scratch, so the next smoothing sweep on `l`
+  /// recomputes its own residual.
   void compute_residual(int l, const std::vector<State>& u,
                         std::vector<State>& res, bool second_order);
 
@@ -136,6 +139,11 @@ class Nsu3dSolver {
   std::vector<std::vector<State>> state_;
   std::vector<std::vector<State>> forcing_;
   std::vector<std::vector<State>> residual_;
+  /// residual_current_[l]: residual_[l] and work_[l].k were computed from
+  /// the present state_[l]. Cleared by every write to state_[l] and by
+  /// the public compute_residual; lets a smoothing sweep reuse the
+  /// residual that residual_norm() or the FAS restriction just computed.
+  std::vector<char> residual_current_;
   std::vector<std::vector<State>> restricted_snapshot_;
 
   /// Persistent per-level scratch: steady-state cycles perform no heap
@@ -159,7 +167,14 @@ class Nsu3dSolver {
   core::MultigridDriver<Nsu3dSolver> driver_{"nsu3d"};
 
   void smooth(int l, int steps);
-  void apply_strong_bcs(int l, std::vector<State>& u) const;
+  /// Residual of state_[l] into residual_[l] (second order on level 0 when
+  /// enabled), computed only when residual_current_[l] is clear.
+  const std::vector<State>& level_residual(int l);
+  void residual_into(int l, const std::vector<State>& u,
+                     std::vector<State>& res, bool second_order);
+  /// Marks state_[l] as written (its held residual is stale).
+  void state_changed(int l) { residual_current_[std::size_t(l)] = 0; }
+  void apply_strong_bcs(int l);
   void restrict_to(int l);
   void prolong_correction(int l);
 

@@ -11,6 +11,40 @@
 
 namespace columbia::smp {
 
+namespace {
+
+constexpr std::uint64_t kChunkMask = 0xffffffffu;
+
+std::uint32_t generation_of(std::uint64_t ticket) {
+  return std::uint32_t(ticket >> 32);
+}
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Polls `ready` for up to ThreadPool::kSpinBudget, yielding the core now
+/// and then; returns whether it became true.
+template <class Pred>
+bool spin_until(Pred&& ready) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + ThreadPool::kSpinBudget;
+  for (unsigned i = 1;; ++i) {
+    if (ready()) return true;
+    cpu_relax();
+    if (i % 64 == 0) {
+      if (std::chrono::steady_clock::now() >= deadline) return ready();
+      std::this_thread::yield();
+    }
+  }
+}
+
+}  // namespace
+
 int env_threads() {
   if (const char* s = std::getenv("COLUMBIA_THREADS")) {
     const int n = std::atoi(s);
@@ -39,20 +73,21 @@ ThreadPool::ThreadPool(int num_threads) {
 ThreadPool::~ThreadPool() { stop_workers(); }
 
 void ThreadPool::start_workers() {
+  const std::uint32_t gen = generation_of(ticket_.load());
   workers_.reserve(std::size_t(num_threads_) - 1);
   for (int t = 1; t < num_threads_; ++t)
-    workers_.emplace_back([this, t] { worker_loop(t); });
+    workers_.emplace_back([this, t, gen] { worker_loop(t, gen); });
 }
 
 void ThreadPool::stop_workers() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
+    stopping_.store(true);
   }
   start_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
   workers_.clear();
-  stopping_ = false;
+  stopping_.store(false);
 }
 
 void ThreadPool::resize(int num_threads) {
@@ -92,64 +127,82 @@ void ThreadPool::publish_stats() const {
   }
 }
 
-void ThreadPool::worker_loop(int tid) {
+void ThreadPool::worker_loop(int tid, std::uint32_t seen) {
+  const auto published = [&] {
+    return stopping_.load(std::memory_order_acquire) ||
+           generation_of(ticket_.load(std::memory_order_acquire)) != seen;
+  };
   while (true) {
-    {
+    if (!spin_until(published)) {
       std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock, [&] {
-        return stopping_ || (job_.fn != nullptr && next_chunk_ < job_.num_chunks);
-      });
-      if (stopping_) return;
+      start_cv_.wait(lock, published);
     }
-    work_chunks(tid);
+    if (stopping_.load(std::memory_order_acquire)) return;
+    seen = generation_of(ticket_.load(std::memory_order_acquire));
+    work_chunks(tid, seen);
   }
 }
 
-void ThreadPool::work_chunks(int tid) {
+void ThreadPool::work_chunks(int tid, std::uint32_t gen) {
   // Utilization accounting is gated on the runtime obs flag so the
-  // tracing-off path costs one relaxed load per chunk.
+  // tracing-off path costs one relaxed load per job.
   const bool timed = obs::enabled();
-  std::uint64_t chunks = 0;
-  std::uint64_t busy_ns = 0;
-  std::unique_lock<std::mutex> lock(mu_);
-  while (job_.fn != nullptr && next_chunk_ < job_.num_chunks) {
-    const std::size_t c = next_chunk_++;
-    const RangeFn* fn = job_.fn;
+  std::uint64_t t = ticket_.load(std::memory_order_acquire);
+  while (generation_of(t) == gen && (t & kChunkMask) != 0) {
+    if (!ticket_.compare_exchange_weak(t, t - 1, std::memory_order_acq_rel,
+                                       std::memory_order_acquire))
+      continue;
+    // This chunk is ours and unfinished, so job_ is stable until we
+    // report it done; copy what we need first.
+    const std::size_t chunks = job_.num_chunks;
+    const std::size_t c = chunks - std::size_t(t & kChunkMask);
+    const RangeFn& fn = *job_.fn;
     const std::size_t b = job_.begin + c * job_.grain;
     const std::size_t e = std::min(job_.end, b + job_.grain);
-    lock.unlock();
     if (timed) {
       const std::uint64_t t0 = WallTimer::now_ns();
-      (*fn)(b, e, tid);
-      busy_ns += WallTimer::now_ns() - t0;
-      ++chunks;
+      fn(b, e, tid);
+      stats_[tid].busy_ns.fetch_add(WallTimer::now_ns() - t0,
+                                    std::memory_order_relaxed);
+      stats_[tid].chunks.fetch_add(1, std::memory_order_relaxed);
     } else {
-      (*fn)(b, e, tid);
+      fn(b, e, tid);
     }
-    lock.lock();
-    if (++chunks_done_ == job_.num_chunks) done_cv_.notify_all();
-  }
-  if (timed && chunks > 0) {
-    stats_[tid].chunks.fetch_add(chunks, std::memory_order_relaxed);
-    stats_[tid].busy_ns.fetch_add(busy_ns, std::memory_order_relaxed);
+    if (chunks_done_.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks &&
+        tid != 0) {
+      // The caller may be asleep in run_job; taking the lock orders this
+      // notify after its predicate check.
+      { std::lock_guard<std::mutex> lock(mu_); }
+      done_cv_.notify_one();
+    }
+    t = ticket_.load(std::memory_order_acquire);
   }
 }
 
 void ThreadPool::run_job(const RangeFn& fn, std::size_t begin, std::size_t end,
                          std::size_t grain, std::size_t chunks) {
   OBS_COUNT("pool.jobs", 1);
+  COLUMBIA_REQUIRE(chunks <= kChunkMask);
+  job_ = Job{&fn, begin, grain, chunks, end};
+  chunks_done_.store(0, std::memory_order_relaxed);
+  std::uint32_t gen = 0;
   {
+    // Under the lock, so a worker between its predicate check and its
+    // wait cannot miss the bump.
     std::lock_guard<std::mutex> lock(mu_);
-    job_ = Job{&fn, begin, grain, chunks, end};
-    next_chunk_ = 0;
-    chunks_done_ = 0;
-    ++generation_;
+    gen = generation_of(ticket_.load(std::memory_order_relaxed)) + 1;
+    ticket_.store((std::uint64_t(gen) << 32) | chunks,
+                  std::memory_order_release);
   }
   start_cv_.notify_all();
-  work_chunks(0);  // the caller participates
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return chunks_done_ == job_.num_chunks; });
-  job_.fn = nullptr;
+  work_chunks(0, gen);  // the caller participates
+  const auto done = [&] {
+    return chunks_done_.load(std::memory_order_acquire) == chunks;
+  };
+  if (!spin_until(done)) {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, done);
+  }
 }
 
 namespace {

@@ -10,13 +10,18 @@
 //
 // Determinism contract: chunk boundaries depend only on (n, grain), never
 // on the thread count, and reduction partials are combined in chunk order
-// on the calling thread. Together with color-major edge ordering (each
-// color's edges touch disjoint nodes, so a node receives at most one
-// contribution per color) every solver kernel produces bit-identical
-// results for any thread count.
+// on the calling thread. Kernels that scatter across indices keep their
+// own per-index write order fixed (the NSU3D edge sweeps give every node
+// one owning task that visits its edges in ascending order), so every
+// solver kernel produces bit-identical results for any thread count.
+//
+// Wake-up: workers spin on the job generation for kSpinBudget before they
+// sleep on a condition variable, and the caller waits for completion the
+// same way, so back-to-back jobs hand over without a futex round trip.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -36,6 +41,11 @@ int env_threads();
 
 class ThreadPool {
  public:
+  /// How long an idle worker (or a caller waiting for its job's last
+  /// chunk) polls before it blocks. Covers the serial stretches between
+  /// the pool jobs of one multigrid cycle; an idle pool sleeps after it.
+  static constexpr std::chrono::microseconds kSpinBudget{1000};
+
   /// Process-wide pool, sized by env_threads() on first use.
   static ThreadPool& global();
 
@@ -83,6 +93,9 @@ class ThreadPool {
   void publish_stats() const;
 
  private:
+  /// The published job. Written by the caller only while no chunk of it
+  /// can be claimed (before the generation bump, after the last chunk
+  /// completes); read by a worker only while it holds an unfinished chunk.
   struct Job {
     const RangeFn* fn = nullptr;
     std::size_t begin = 0;
@@ -91,10 +104,10 @@ class ThreadPool {
     std::size_t end = 0;
   };
 
-  void worker_loop(int tid);
+  void worker_loop(int tid, std::uint32_t seen);
   void run_job(const RangeFn& fn, std::size_t begin, std::size_t end,
                std::size_t grain, std::size_t num_chunks);
-  void work_chunks(int tid);
+  void work_chunks(int tid, std::uint32_t gen);
   void start_workers();
   void stop_workers();
 
@@ -108,14 +121,17 @@ class ThreadPool {
   };
   std::unique_ptr<AtomicThreadStats[]> stats_;  // num_threads_ entries
 
+  Job job_;
+  /// (generation << 32) | chunks not yet claimed. One word, so a claim
+  /// (compare-exchange decrement) can never take a chunk of a newer job.
+  alignas(64) std::atomic<std::uint64_t> ticket_{0};
+  alignas(64) std::atomic<std::size_t> chunks_done_{0};
+  std::atomic<bool> stopping_{false};
+  /// Guards only the sleep paths: publishing a job, the last chunk's
+  /// completion, and stopping each touch it so no sleeper misses a wake.
   std::mutex mu_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  Job job_;
-  std::uint64_t generation_ = 0;  // bumped when a job is published
-  std::size_t next_chunk_ = 0;    // guarded by mu_
-  std::size_t chunks_done_ = 0;   // guarded by mu_
-  bool stopping_ = false;
 };
 
 /// Convenience: resize the global pool (tests / thread-sweep benchmarks).

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "smp/pool.hpp"
@@ -41,14 +43,21 @@ TEST(Pool, ReduceSumBitIdenticalAcrossThreadCounts) {
   std::vector<real_t> v(25003);
   Xoshiro256 rng(42);
   for (real_t& x : v) x = rng.uniform(-1, 1);
+  // Back-to-back reductions on one pool: every repetition must agree too,
+  // whether the workers are still spinning from the last job or not.
   auto run = [&](int threads) {
     ThreadPool pool(threads);
-    return pool.reduce_sum(0, v.size(), 97,
-                           [&](std::size_t b, std::size_t e) {
-                             real_t s = 0;
-                             for (std::size_t i = b; i < e; ++i) s += v[i];
-                             return s;
-                           });
+    const auto sum = [&] {
+      return pool.reduce_sum(0, v.size(), 97,
+                             [&](std::size_t b, std::size_t e) {
+                               real_t s = 0;
+                               for (std::size_t i = b; i < e; ++i) s += v[i];
+                               return s;
+                             });
+    };
+    const real_t first = sum();
+    for (int rep = 0; rep < 200; ++rep) EXPECT_EQ(sum(), first);
+    return first;
   };
   const real_t r1 = run(1);
   // Bit-identical, not merely close: chunking is independent of the
@@ -95,6 +104,61 @@ TEST(Pool, ManySmallJobsDrainCleanly) {
       total += long(e - b);
     });
   EXPECT_EQ(total.load(), 200 * 64);
+}
+
+TEST(Pool, BackToBackTinyJobsCoverEveryChunk) {
+  // Workers still spinning from one job pick up the next: no chunk may be
+  // lost, run twice, or run under the previous job's function.
+  ThreadPool pool(4);
+  std::vector<long> hits(4, 0);  // chunk c is one index: race-free
+  constexpr int kJobs = 20000;
+  for (int rep = 0; rep < kJobs; ++rep)
+    pool.parallel_for(0, hits.size(), 1,
+                      [&](std::size_t b, std::size_t e, int) {
+                        for (std::size_t i = b; i < e; ++i) hits[i] += rep;
+                      });
+  const long expected = long(kJobs) * (kJobs - 1) / 2;
+  for (long h : hits) EXPECT_EQ(h, expected);
+}
+
+TEST(Pool, JobAfterIdleGapLongerThanSpinBudget) {
+  // Workers that gave up spinning sleep; publishing a job must wake them.
+  ThreadPool pool(3);
+  for (int rep = 0; rep < 4; ++rep) {
+    std::this_thread::sleep_for(4 * ThreadPool::kSpinBudget);
+    std::vector<int> hits(3000, 0);
+    std::atomic<bool> worker_joined{false};
+    pool.parallel_for(0, hits.size(), 16,
+                      [&](std::size_t b, std::size_t e, int tid) {
+                        if (tid > 0) worker_joined = true;
+                        // Whoever runs the first chunk holds it until a
+                        // worker has joined (or a generous deadline).
+                        const auto deadline = std::chrono::steady_clock::now() +
+                                              std::chrono::seconds(10);
+                        while (b == 0 && !worker_joined &&
+                               std::chrono::steady_clock::now() < deadline)
+                          std::this_thread::yield();
+                        for (std::size_t i = b; i < e; ++i) ++hits[i];
+                      });
+    for (int h : hits) ASSERT_EQ(h, 1);
+    EXPECT_TRUE(worker_joined.load()) << "no worker woke up for job " << rep;
+  }
+}
+
+TEST(Pool, ResizeWhileIdle) {
+  ThreadPool pool(4);
+  for (int threads : {2, 4, 1, 3}) {
+    std::this_thread::sleep_for(2 * ThreadPool::kSpinBudget);
+    pool.resize(threads);
+    ASSERT_EQ(pool.num_threads(), threads);
+    std::vector<int> hits(777, 0);
+    pool.parallel_for(0, hits.size(), 8,
+                      [&](std::size_t b, std::size_t e, int tid) {
+                        ASSERT_LT(tid, threads);
+                        for (std::size_t i = b; i < e; ++i) ++hits[i];
+                      });
+    for (int h : hits) ASSERT_EQ(h, 1);
+  }
 }
 
 TEST(Pool, EmptyRangeIsNoop) {
