@@ -11,13 +11,16 @@
 // min/max fused; limiter; flux) over unit-stride streams plus blocked
 // per-cell state, with the limiter's directional differences cached per
 // face and reused bitwise by the reconstruction (identical expression,
-// identical inputs).
+// identical inputs). Every face sweep is owner-writes (smp/owners.hpp):
+// one pool task per contiguous cell range adds only into its own cells,
+// in ascending face order.
 //
 // Bit-identity contract: every kernel performs exactly the arithmetic of
 // the retained scalar reference (residual_reference below) in the same
-// per-cell accumulation order. Hoisted values (Gram inverses, eps^2,
-// offsets) are computed with the same expressions the scalar path
-// evaluated per call. Negated offsets rely only on fl(-t) == -fl(t).
+// per-cell accumulation order, for every thread count. Hoisted values
+// (Gram inverses, eps^2, offsets) are computed with the same expressions
+// the scalar path evaluated per call. Negated offsets rely only on
+// fl(-t) == -fl(t).
 #pragma once
 
 #include <array>
@@ -26,6 +29,7 @@
 
 #include "cartesian/cart_mesh.hpp"
 #include "euler/flux.hpp"
+#include "smp/owners.hpp"
 #include "support/types.hpp"
 
 namespace columbia::cart3d::kernels {
@@ -78,8 +82,16 @@ struct Scratch {
   std::vector<real_t> rb;   // kRhsStride-blocked LSQ right-hand sides
   std::vector<real_t> ph;   // kPhiStride-blocked limiter values
   std::vector<real_t> fdq;  // kFdqStride per-face directional differences
+  std::vector<Cons> bflux;  // per boundary face: area * farfield flux
+  /// Interior-face owner lists (smp/owners.hpp), built on first use for
+  /// the pool width.
+  smp::EdgeOwners owners;
   void resize(const LevelGeom& g, bool second_order);
 };
+
+/// The owner lists the face sweeps use: `s.owners`, rebuilt first when the
+/// pool width or the level's size no longer match it.
+const smp::EdgeOwners& face_owners(const LevelGeom& g, Scratch& s);
 
 /// Full second-/first-order residual against the precomputed geometry.
 /// Bit-identical to residual_reference for every thread count.
@@ -87,6 +99,13 @@ void residual(const LevelGeom& g, const cartesian::CartMesh& m,
               const Prim& freestream, euler::FluxScheme scheme,
               std::span<const Cons> u, bool second_order, Scratch& s,
               std::vector<Cons>& res);
+
+/// Local time-step denominators sum(|lambda| A) per cell of state `u` —
+/// interior faces, then domain boundary faces, then the embedded wall —
+/// into `wave`. Leaves the primitives of `u` in s.w.
+void wave_speeds(const LevelGeom& g, const cartesian::CartMesh& m,
+                 std::span<const Cons> u, Scratch& s,
+                 std::vector<real_t>& wave);
 
 // --- Retained scalar reference path ---
 

@@ -15,33 +15,12 @@
 
 namespace columbia::cart3d {
 
-using cartesian::CartFace;
 using cartesian::CartMesh;
 using euler::Cons;
 using euler::Prim;
 using geom::Vec3;
 
 namespace {
-
-/// Unit outward normal of a boundary face (axis is encoded as
-/// axis or -(axis+1) for the negative direction).
-Vec3 boundary_normal(const CartFace& f) {
-  const int a = f.axis >= 0 ? f.axis : -(f.axis + 1);
-  const real_t sign = f.axis >= 0 ? 1.0 : -1.0;
-  Vec3 n{};
-  if (a == 0) n.x = sign;
-  if (a == 1) n.y = sign;
-  if (a == 2) n.z = sign;
-  return n;
-}
-
-Vec3 axis_normal(int axis) {
-  Vec3 n{};
-  if (axis == 0) n.x = 1;
-  if (axis == 1) n.y = 1;
-  if (axis == 2) n.z = 1;
-  return n;
-}
 
 // Cell-loop chunk grain. Cells are stored in SFC order, so contiguous
 // chunks are spatially compact (cache/NUMA friendly). Fixed constant so
@@ -70,6 +49,7 @@ Cart3DSolver::Cart3DSolver(const CartMesh& mesh,
   forcing_.resize(nl);
   residual_.resize(nl);
   restricted_snapshot_.resize(nl);
+  residual_current_.assign(nl, 0);
   work_.resize(nl);
   const Cons uinf = euler::to_conservative(freestream_);
   for (std::size_t l = 0; l < nl; ++l) {
@@ -83,15 +63,37 @@ Cart3DSolver::Cart3DSolver(const CartMesh& mesh,
         .set(std::uint64_t(hierarchy_.levels[0].num_cut_cells()));
 }
 
+const kernels::LevelGeom& Cart3DSolver::level_geom(int level) {
+  Workspace& ws = work_[std::size_t(level)];
+  if (!ws.geom.built)  // pure geometry, built once
+    ws.geom.build(hierarchy_.levels[std::size_t(level)]);
+  return ws.geom;
+}
+
 void Cart3DSolver::compute_residual(int level, const std::vector<Cons>& u,
                                     std::vector<Cons>& res,
                                     bool second_order) {
+  state_changed(level);  // a caller's res may be this level's residual
+  residual_into(level, u, res, second_order);
+}
+
+void Cart3DSolver::residual_into(int level, const std::vector<Cons>& u,
+                                 std::vector<Cons>& res, bool second_order) {
   OBS_SPAN("cart3d.residual", "level", level);
-  const CartMesh& m = hierarchy_.levels[std::size_t(level)];
-  Workspace& ws = work_[std::size_t(level)];
-  if (!ws.geom.built) ws.geom.build(m);  // pure geometry, built once
-  kernels::residual(ws.geom, m, freestream_, opt_.flux, u, second_order,
-                    ws.k, res);
+  const kernels::LevelGeom& g = level_geom(level);
+  kernels::residual(g, hierarchy_.levels[std::size_t(level)], freestream_,
+                    opt_.flux, u, second_order, work_[std::size_t(level)].k,
+                    res);
+}
+
+const std::vector<Cons>& Cart3DSolver::level_residual(int level) {
+  const std::size_t k = std::size_t(level);
+  if (!residual_current_[k]) {
+    residual_into(level, state_[k], residual_[k],
+                  opt_.second_order && level == 0);
+    residual_current_[k] = 1;
+  }
+  return residual_[k];
 }
 
 void Cart3DSolver::smooth(int level, int steps) {
@@ -103,40 +105,18 @@ void Cart3DSolver::smooth(int level, int steps) {
   const std::size_t n = m.cells.size();
 
   // Local time step: dt_i = CFL * V_i / sum(|lambda| A).
-  ws.wave.assign(n, 0.0);
-  auto& wave = ws.wave;
-  {
-    ws.w.resize(n);
-    auto& w = ws.w;
-    for_cells(n, [&](std::size_t i) { w[i] = euler::to_primitive(u[i]); });
-    for (const CartFace& fc : m.faces) {
-      const Vec3 nrm = axis_normal(fc.axis);
-      const real_t sl = euler::spectral_radius(w[std::size_t(fc.left)], nrm);
-      const real_t sr = euler::spectral_radius(w[std::size_t(fc.right)], nrm);
-      wave[std::size_t(fc.left)] += sl * fc.area;
-      wave[std::size_t(fc.right)] += sr * fc.area;
-    }
-    for (const CartFace& fc : m.boundary_faces)
-      wave[std::size_t(fc.left)] +=
-          euler::spectral_radius(w[std::size_t(fc.left)], boundary_normal(fc)) *
-          fc.area;
-    for_cells(n, [&](std::size_t i) {
-      const cartesian::CartCell& c = m.cells[i];
-      if (c.cut)
-        wave[i] += euler::spectral_radius(w[i], normalized(c.wall_area)) *
-                   norm(c.wall_area);
-    });
-  }
+  kernels::wave_speeds(level_geom(level), m, u, ws.k, ws.wave);
+  const std::vector<real_t>& wave = ws.wave;
 
-  const bool second = opt_.second_order && level == 0;
   // Three-stage Runge-Kutta smoother (Jameson-style coefficients).
   static constexpr real_t kAlpha[3] = {0.1481, 0.4, 1.0};
   for (int step = 0; step < steps; ++step) {
     ws.u0.assign(u.begin(), u.end());
     const std::vector<Cons>& u0 = ws.u0;
     for (real_t alpha : kAlpha) {
-      compute_residual(level, u, residual_[std::size_t(level)], second);
-      std::vector<Cons>& r = residual_[std::size_t(level)];
+      // The first stage may reuse the residual residual_norm() or the FAS
+      // restriction just computed from this same state.
+      const std::vector<Cons>& r = level_residual(level);
       for_cells(n, [&](std::size_t i) {
         const real_t v = m.cell_volume(m.cells[i]);
         if (wave[i] <= 0 || v <= 0) return;
@@ -148,6 +128,7 @@ void Cart3DSolver::smooth(int level, int steps) {
         if (euler::is_valid(unew)) u[i] = unew;
         // else: keep the previous stage value (positivity guard).
       });
+      state_changed(level);
     }
   }
 }
@@ -180,29 +161,29 @@ void Cart3DSolver::restrict_to(int level) {
     for (int c = 0; c < 5; ++c) uc[j][std::size_t(c)] /= vol[j];
   }
   restricted_snapshot_[std::size_t(level) + 1] = uc;
+  state_changed(level + 1);
 
   // FAS forcing: f_c = R_c(restricted u) - I(R_f(u) - f_f). The fine
   // residual must come from the operator actually being solved on that
   // level (second order on the finest grid), else the coarse correction
   // targets the wrong equation and multigrid stalls.
-  compute_residual(level, state_[std::size_t(level)],
-                   residual_[std::size_t(level)],
-                   opt_.second_order && level == 0);
+  const std::vector<Cons>& rf = level_residual(level);
   wsc.transferred.assign(nc, Cons{});
   std::vector<Cons>& transferred = wsc.transferred;
   for (std::size_t i = 0; i < fine.cells.size(); ++i) {
     const std::size_t j = std::size_t(map[i]);
     for (int c = 0; c < 5; ++c)
       transferred[j][std::size_t(c)] +=
-          residual_[std::size_t(level)][i][std::size_t(c)] -
+          rf[i][std::size_t(c)] -
           forcing_[std::size_t(level)][i][std::size_t(c)];
   }
-  compute_residual(level + 1, uc, residual_[std::size_t(level) + 1], false);
+  // Held for the coarse visit's first smoothing stage.
+  const std::vector<Cons>& rc = level_residual(level + 1);
   fc.assign(nc, Cons{});
   for (std::size_t j = 0; j < nc; ++j)
     for (int c = 0; c < 5; ++c)
-      fc[j][std::size_t(c)] = residual_[std::size_t(level) + 1][j][std::size_t(c)] -
-                              transferred[j][std::size_t(c)];
+      fc[j][std::size_t(c)] =
+          rc[j][std::size_t(c)] - transferred[j][std::size_t(c)];
 }
 
 // The driver's post-smoothing step after this correction is load-bearing:
@@ -222,26 +203,26 @@ void Cart3DSolver::prolong_correction(int level) {
                               (uc[j][std::size_t(c)] - snap[j][std::size_t(c)]);
     if (euler::is_valid(unew)) uf[i] = unew;
   });
+  state_changed(level);
 }
 
 real_t Cart3DSolver::residual_norm() {
-  compute_residual(0, state_[0], residual_[0],
-                   opt_.second_order);
+  const std::vector<Cons>& r0 = level_residual(0);
   const CartMesh& m = hierarchy_.levels[0];
   // Deterministic tree reduction: fixed chunking, partials combined in
   // chunk order, so the norm is bit-identical for every thread count.
   const real_t sum = smp::ThreadPool::global().reduce_sum(
-      0, residual_[0].size(), kCellGrain, [&](std::size_t b, std::size_t e) {
+      0, r0.size(), kCellGrain, [&](std::size_t b, std::size_t e) {
         real_t s = 0;
         for (std::size_t i = b; i < e; ++i) {
           const real_t v = m.cell_volume(m.cells[i]);
           if (v <= 0) continue;
-          const real_t r = residual_[0][i][0] / v;
+          const real_t r = r0[i][0] / v;
           s += r * r;
         }
         return s;
       });
-  return std::sqrt(sum / real_t(std::max<std::size_t>(1, residual_[0].size())));
+  return std::sqrt(sum / real_t(std::max<std::size_t>(1, r0.size())));
 }
 
 real_t Cart3DSolver::run_cycle() { return driver_.run_cycle(*this); }
@@ -249,6 +230,7 @@ real_t Cart3DSolver::run_cycle() { return driver_.run_cycle(*this); }
 /// Fault hook (COLUMBIA_FAULTS state_nan): poison one energy entry after
 /// the cycle's updates so the guard sees a non-finite residual.
 void Cart3DSolver::poison_state(std::size_t i) {
+  state_changed(0);
   state_[0][i][4] = std::numeric_limits<real_t>::quiet_NaN();
 }
 
@@ -274,6 +256,7 @@ void Cart3DSolver::restore_checkpoint(const resil::Checkpoint& c) {
   auto& u = state_[0];
   for (std::size_t i = 0; i < u.size(); ++i)
     for (std::size_t k = 0; k < 5; ++k) u[i][k] = c.state[i * 5 + k];
+  state_changed(0);
 }
 
 resil::GuardedSolveResult Cart3DSolver::solve_guarded(

@@ -120,8 +120,8 @@ class Cart3DSolver {
 
   /// Residual of `u` on `level` (public so benchmarks and equivalence
   /// tests can drive the hot kernel directly). Cell loops run on the
-  /// shared-memory pool in SFC-contiguous chunks; results are
-  /// bit-identical for every thread count.
+  /// shared-memory pool in SFC-contiguous chunks and face sweeps are
+  /// owner-writes; results are bit-identical for every thread count.
   void compute_residual(int level, const std::vector<euler::Cons>& u,
                         std::vector<euler::Cons>& res, bool second_order);
 
@@ -137,13 +137,17 @@ class Cart3DSolver {
   std::vector<std::vector<euler::Cons>> state_;
   std::vector<std::vector<euler::Cons>> forcing_;
   std::vector<std::vector<euler::Cons>> residual_;
+  /// residual_current_[l]: residual_[l] was computed from the present
+  /// state_[l]. Cleared by every write to state_[l] and by the public
+  /// compute_residual; lets a smoothing stage reuse the residual that
+  /// residual_norm() or the FAS restriction just computed.
+  std::vector<char> residual_current_;
 
   /// Persistent per-level scratch so steady-state cycles perform no heap
   /// allocation (vectors keep capacity across sweeps).
   struct Workspace {
     kernels::LevelGeom geom;  // per-level geometry precompute (lazy-built)
-    kernels::Scratch k;       // SoA residual scratch
-    std::vector<euler::Prim> w;  // primitive cache (smoother wave speeds)
+    kernels::Scratch k;       // SoA residual + wave-speed scratch
     std::vector<real_t> wave;    // sum |lambda| A
     std::vector<euler::Cons> u0;                   // RK stage base state
     // Restriction scratch (coarse-level sized).
@@ -158,6 +162,14 @@ class Cart3DSolver {
   core::MultigridDriver<Cart3DSolver> driver_{"cart3d"};
 
   void smooth(int level, int steps);
+  const kernels::LevelGeom& level_geom(int level);  // built on first use
+  /// Residual of state_[level] into residual_[level] (second order on
+  /// level 0 when enabled), computed only when residual_current_ is clear.
+  const std::vector<euler::Cons>& level_residual(int level);
+  void residual_into(int level, const std::vector<euler::Cons>& u,
+                     std::vector<euler::Cons>& res, bool second_order);
+  /// Marks state_[level] as written (its held residual is stale).
+  void state_changed(int level) { residual_current_[std::size_t(level)] = 0; }
   void restrict_to(int level);        // level -> level+1 (state + forcing)
   void prolong_correction(int level); // level+1 -> level
 

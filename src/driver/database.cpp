@@ -1,13 +1,16 @@
 #include "driver/database.hpp"
 
-#include <atomic>
+#include <algorithm>
+#include <cmath>
 #include <exception>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "obs/obs.hpp"
 #include "resil/faults.hpp"
 #include "resil/manifest.hpp"
+#include "smp/pool.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
 
@@ -86,11 +89,38 @@ std::vector<CaseResult> DatabaseFill::run() {
 
     std::vector<CaseResult> batch(winds.size());
     WallTimer solve_timer;
-    std::atomic<std::size_t> next{0};
+    // Case queue and the in-flight set, in ascending case index (cases
+    // are claimed in order, so appending keeps it sorted).
+    const int budget = spec_.simultaneous_cases;
+    std::mutex queue_mu;
+    std::size_t next = 0;
+    std::vector<std::size_t> in_flight;
+    auto claim = [&] {
+      std::lock_guard<std::mutex> lock(queue_mu);
+      if (next >= winds.size()) return winds.size();
+      in_flight.push_back(next);
+      return next++;
+    };
+    auto release = [&](std::size_t k) {
+      std::lock_guard<std::mutex> lock(queue_mu);
+      in_flight.erase(std::find(in_flight.begin(), in_flight.end(), k));
+    };
+    // Pool width for case k: one thread while cases are queued, else an
+    // equal share of the budget, the remainder to the lowest indices.
+    auto lent_width = [&](std::size_t k) {
+      std::lock_guard<std::mutex> lock(queue_mu);
+      if (next < winds.size()) return 1;
+      const int n = int(in_flight.size());
+      const int rank = int(std::find(in_flight.begin(), in_flight.end(), k) -
+                           in_flight.begin());
+      return budget / n + (rank < budget % n ? 1 : 0);
+    };
 
-    // One guarded solver run; throws when the injector crashes the worker
-    // (FaultKind::CaseThrow) or the solver rejects the configuration.
-    auto solve_once = [&](const WindPoint& wp,
+    // One guarded solver run on the worker's pool; throws when the
+    // injector crashes the worker (FaultKind::CaseThrow) or the solver
+    // rejects the configuration.
+    auto solve_once = [&](std::size_t k, smp::ThreadPool& pool,
+                          const WindPoint& wp,
                           const cart3d::SolverOptions& sopt,
                           std::uint64_t site) {
       resil::FaultInjector::global().maybe_throw(resil::FaultKind::CaseThrow,
@@ -100,6 +130,17 @@ std::vector<CaseResult> DatabaseFill::run() {
       fc.alpha_deg = wp.alpha_deg;
       fc.beta_deg = wp.beta_deg;
       cart3d::Cart3DSolver solver(mesh, fc, sopt);
+      // Level 0 begins every cycle: the boundary where the case takes up
+      // its current share of the budget. Resizing touches no solver state.
+      solver.set_level_hooks(
+          [&](int level) {
+            if (level != 0) return;
+            const int width = lent_width(k);
+            if (width == pool.num_threads()) return;
+            if (width > pool.num_threads()) OBS_COUNT("driver.pool_grows", 1);
+            pool.resize(width);
+          },
+          {});
       resil::GuardedSolveOptions gopt;
       gopt.guard = spec_.guard;
       const resil::GuardedSolveResult gr = solver.solve_guarded(
@@ -116,9 +157,12 @@ std::vector<CaseResult> DatabaseFill::run() {
       r.residual_drop = hist.front() > 0 ? hist.back() / hist.front() : 0;
     };
 
+    // Each worker runs its cases on its own pool, bound to the worker.
     auto worker = [&] {
+      smp::ThreadPool pool(1);
+      const smp::ScopedPool bind(pool);
       while (true) {
-        const std::size_t k = next.fetch_add(1);
+        const std::size_t k = claim();
         if (k >= winds.size()) break;
         OBS_SPAN("driver.case", "case", std::int64_t(k));
         const WindPoint& wp = winds[k];
@@ -141,6 +185,7 @@ std::vector<CaseResult> DatabaseFill::run() {
             r.from_manifest = true;
             batch[k] = r;
             OBS_COUNT("resil.case.skipped", 1);
+            release(k);
             continue;
           }
         }
@@ -157,7 +202,8 @@ std::vector<CaseResult> DatabaseFill::run() {
              ++a) {
           ++attempts;
           try {
-            const auto [gr, f] = solve_once(wp, spec_.solver_options,
+            const auto [gr, f] = solve_once(k, pool, wp,
+                                            spec_.solver_options,
                                             id * 8 + std::uint64_t(a));
             if (gr.outcome != resil::SolveOutcome::Failed) {
               // A rollback inside the solve or a repeat attempt both count
@@ -182,7 +228,8 @@ std::vector<CaseResult> DatabaseFill::run() {
           degraded.cfl *= 0.5;
           ++attempts;
           try {
-            const auto [gr, f] = solve_once(wp, degraded, id * 8 + 7);
+            const auto [gr, f] =
+                solve_once(k, pool, wp, degraded, id * 8 + 7);
             if (gr.outcome != resil::SolveOutcome::Failed) {
               status = CaseStatus::Degraded;
               fill_result(r, gr, f);
@@ -205,17 +252,22 @@ std::vector<CaseResult> DatabaseFill::run() {
                             {double(r.cl), double(r.cd),
                              double(r.residual_drop), double(r.cycles),
                              double(r.attempts), double(defl)}});
+        release(k);
       }
     };
-    std::vector<std::thread> pool;
-    const int nw = std::min<int>(spec_.simultaneous_cases, int(winds.size()));
-    for (int t = 0; t < nw; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
+    std::vector<std::thread> workers;
+    const int nw = std::min<int>(budget, int(winds.size()));
+    for (int t = 0; t < nw; ++t) workers.emplace_back(worker);
+    for (auto& t : workers) t.join();
     stats_.solve_seconds += solve_timer.seconds();
 
     // Outcome accounting happens after the join — stats_ is not touched
-    // from worker threads.
-    for (const CaseResult& r : batch) {
+    // from worker threads. A case capped at max_cycles is a finished
+    // solve: it is reported unconverged, not retried or degraded.
+    const real_t target_drop = std::pow(10.0, -spec_.convergence_orders);
+    for (CaseResult& r : batch) {
+      r.converged =
+          r.status != CaseStatus::Failed && r.residual_drop <= target_drop;
       if (r.from_manifest) {
         stats_.cases_skipped += 1;
         continue;
@@ -226,6 +278,10 @@ std::vector<CaseResult> DatabaseFill::run() {
         case CaseStatus::Degraded: stats_.cases_degraded += 1; break;
         case CaseStatus::Failed: stats_.cases_failed += 1; break;
         case CaseStatus::Ok: break;
+      }
+      if (r.status != CaseStatus::Failed && !r.converged) {
+        stats_.cases_unconverged += 1;
+        OBS_COUNT("driver.cases_unconverged", 1);
       }
     }
 

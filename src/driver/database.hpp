@@ -39,6 +39,10 @@ struct CaseResult {
   real_t cl = 0, cd = 0;
   real_t residual_drop = 0;  // final/initial residual
   int cycles = 0;
+  /// The solve reached its target: residual_drop <= 10^-convergence_orders.
+  /// A case that ran into max_cycles keeps status Ok (the guard outcome)
+  /// but is not converged; a Failed case never is.
+  bool converged = false;
   CaseStatus status = CaseStatus::Ok;
   int attempts = 1;          // solver runs spent on this case
   bool from_manifest = false;  // reloaded from a previous sweep's manifest
@@ -62,7 +66,10 @@ struct DatabaseSpec {
   int max_cycles = 30;
   real_t convergence_orders = 2;
   /// Cases run simultaneously (paper: "as many cases ... as memory
-  /// permits"); maps to worker threads here.
+  /// permits"); maps to worker threads here, and is also the sweep's
+  /// thread budget. Each case runs on its own pool: one thread while cases
+  /// are queued, then the cores of finished workers are lent to the cases
+  /// still running (see DatabaseFill::run).
   int simultaneous_cases = 4;
 
   // --- Resilience ----------------------------------------------------------
@@ -85,6 +92,7 @@ struct DatabaseStats {
   int cases_recovered = 0;  // finished after in-solve rollback or re-run
   int cases_degraded = 0;   // finished only in the degraded configuration
   int cases_failed = 0;     // exhausted every recovery path
+  int cases_unconverged = 0;  // finished, but short of the residual target
   int cases_skipped = 0;    // reloaded from the sweep manifest
   double mesh_gen_seconds = 0;
   double solve_seconds = 0;
@@ -103,6 +111,14 @@ class DatabaseFill {
   /// Runs the whole database: one mesh per geometry instance, all wind
   /// points on that mesh, `simultaneous_cases` cases in flight at a time.
   /// Results are ordered by (deflection, mach, alpha, beta).
+  ///
+  /// Every case runs on its own smp::ThreadPool, bound to its worker
+  /// thread (smp::ScopedPool). While cases remain queued each pool has one
+  /// thread. Once the queue is empty a worker that finishes retires, and
+  /// at every cycle boundary each running case resizes its pool to
+  /// simultaneous_cases / in-flight threads, the remainder going to the
+  /// lowest case indices. The solvers are bit-identical across pool
+  /// widths, so results do not depend on the lending.
   std::vector<CaseResult> run();
 
   const DatabaseStats& stats() const { return stats_; }

@@ -28,6 +28,9 @@ struct TridiagStatus {
 /// Solves the block-tridiagonal system
 ///   lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]
 /// for i = 0..n-1 (lower[0] and upper[n-1] ignored), in place in `rhs`.
+/// `lu` is the caller's factor scratch (resized to n; a caller that keeps
+/// it across solves allocates nothing once its capacity covers the
+/// longest line).
 ///
 /// On a singular pivot block the status identifies the failing row and
 /// column; `rhs` is then undefined.
@@ -35,13 +38,14 @@ template <int N>
 TridiagStatus solve_block_tridiag_status(std::vector<BlockMat<N>>& lower,
                                          std::vector<BlockMat<N>>& diag,
                                          std::vector<BlockMat<N>>& upper,
-                                         std::vector<BlockVec<N>>& rhs) {
+                                         std::vector<BlockVec<N>>& rhs,
+                                         std::vector<BlockLU<N>>& lu) {
   const std::size_t n = diag.size();
   COLUMBIA_REQUIRE(lower.size() == n && upper.size() == n && rhs.size() == n);
   if (n == 0) return TridiagStatus{};
 
   // Forward elimination: diag[i] <- diag[i] - lower[i] D^{-1}_{i-1} upper[i-1]
-  std::vector<BlockLU<N>> lu(n);
+  lu.resize(n);
   FactorStatus fs = lu[0].factor_status(diag[0]);
   if (!fs) return TridiagStatus{fs, 0};
   for (std::size_t i = 1; i < n; ++i) {
@@ -67,13 +71,15 @@ TridiagStatus solve_block_tridiag_status(std::vector<BlockMat<N>>& lower,
   return TridiagStatus{};
 }
 
-/// Boolean convenience wrapper around solve_block_tridiag_status.
+/// Boolean convenience wrapper around solve_block_tridiag_status with its
+/// own factor scratch.
 template <int N>
 bool solve_block_tridiag(std::vector<BlockMat<N>>& lower,
                          std::vector<BlockMat<N>>& diag,
                          std::vector<BlockMat<N>>& upper,
                          std::vector<BlockVec<N>>& rhs) {
-  return solve_block_tridiag_status<N>(lower, diag, upper, rhs).ok();
+  std::vector<BlockLU<N>> lu;
+  return solve_block_tridiag_status<N>(lower, diag, upper, rhs, lu).ok();
 }
 
 /// Scalar tridiagonal convenience overload (used in tests and the 1-equation

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <type_traits>
+#include <utility>
 
 #include "euler/jacobian.hpp"
 #include "linalg/block_tridiag.hpp"
 #include "obs/obs.hpp"
+#include "smp/owners.hpp"
 #include "smp/pool.hpp"
 #include "support/assert.hpp"
 
@@ -25,33 +27,11 @@ namespace {
 constexpr std::size_t kNodeGrain = 256;
 constexpr std::size_t kLineGrain = 2;
 
-using Own = std::true_type;
-using NotOwn = std::false_type;
-
-/// Runs `body(e, own_a, own_b)` over every edge as ONE pool job with one
-/// task per owner part (see EdgeOwners). `own_a` / `own_b` are
-/// std::bool_constant tags: the body accumulates into an endpoint only
-/// when its tag is set, and writes per-edge outputs only when it owns
-/// side a. Each node is thus written by a single task, in ascending edge
-/// order, for every part count.
+/// Runs `body(e, own_a, own_b)` over every edge as one pool job over the
+/// level's owner lists (see smp::for_edges_owned).
 template <class Fn>
 void for_edges_owned(const Level& lvl, Scratch& s, Fn&& body) {
-  const EdgeOwners& own = edge_owners(lvl, s);
-  const std::size_t* const off = own.offsets.data();
-  const std::uint32_t* const ent = own.entries.data();
-  smp::ThreadPool::global().parallel_for(
-      0, std::size_t(own.parts), 1, [&](std::size_t pb, std::size_t pe, int) {
-        for (std::size_t p = pb; p < pe; ++p)
-          for (std::size_t k = off[p]; k < off[p + 1]; ++k) {
-            const std::uint32_t x = ent[k];
-            const std::size_t e = x >> 2;
-            switch (x & EdgeOwners::kOwnBoth) {
-              case EdgeOwners::kOwnBoth: body(e, Own{}, Own{}); break;
-              case EdgeOwners::kOwnA: body(e, Own{}, NotOwn{}); break;
-              default: body(e, NotOwn{}, Own{}); break;
-            }
-          }
-      });
+  smp::for_edges_owned(edge_owners(lvl, s), std::forward<Fn>(body));
 }
 
 /// Elementwise (no cross-index writes) loop over [0, n).
@@ -153,63 +133,8 @@ void Scratch::resize(const Level& lvl) {
   edq.resize(lvl.edges.size() * kEdqStride);
 }
 
-void EdgeOwners::build(const Level& lvl, int num_parts) {
-  COLUMBIA_REQUIRE(num_parts >= 1);
-  const std::size_t n = std::size_t(lvl.num_nodes);
-  const std::size_t ne = lvl.edges.size();
-  COLUMBIA_REQUIRE(ne < (std::size_t(1) << 30));
-  const std::size_t np = std::size_t(num_parts);
-  parts = num_parts;
-  num_nodes = n;
-  num_edges = ne;
-
-  // Contiguous node ranges with about 2E / P edge endpoints each. `part`
-  // first counts each node's edges, then holds the node's part.
-  std::vector<std::uint32_t> part(n, 0);
-  for (std::size_t e = 0; e < ne; ++e) {
-    ++part[std::size_t(lvl.edge_a[e])];
-    ++part[std::size_t(lvl.edge_b[e])];
-  }
-  node_begin.assign(np + 1, index_t(n));
-  node_begin[0] = 0;
-  std::size_t seen = 0, p = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    while (p < np && seen * np >= p * 2 * ne) node_begin[p++] = index_t(i);
-    seen += part[i];
-    part[i] = std::uint32_t(p - 1);
-  }
-
-  // Per-part counts, then one ascending pass over the edges.
-  offsets.assign(np + 1, 0);
-  for (std::size_t e = 0; e < ne; ++e) {
-    const std::uint32_t pa = part[std::size_t(lvl.edge_a[e])];
-    const std::uint32_t pb = part[std::size_t(lvl.edge_b[e])];
-    ++offsets[pa + 1];
-    if (pb != pa) ++offsets[pb + 1];
-  }
-  for (std::size_t q = 0; q < np; ++q) offsets[q + 1] += offsets[q];
-  entries.resize(offsets[np]);
-  std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
-  for (std::size_t e = 0; e < ne; ++e) {
-    const std::uint32_t pa = part[std::size_t(lvl.edge_a[e])];
-    const std::uint32_t pb = part[std::size_t(lvl.edge_b[e])];
-    const std::uint32_t tag = std::uint32_t(e) << 2;
-    if (pa == pb) {
-      entries[fill[pa]++] = tag | kOwnBoth;
-    } else {
-      entries[fill[pa]++] = tag | kOwnA;
-      entries[fill[pb]++] = tag | kOwnB;
-    }
-  }
-}
-
-const EdgeOwners& edge_owners(const Level& lvl, Scratch& s) {
-  const int width = smp::ThreadPool::global().num_threads();
-  EdgeOwners& own = s.owners;
-  if (own.parts != width || own.num_nodes != std::size_t(lvl.num_nodes) ||
-      own.num_edges != lvl.edges.size())
-    own.build(lvl, width);
-  return own;
+const smp::EdgeOwners& edge_owners(const Level& lvl, Scratch& s) {
+  return s.owners.fit(std::size_t(lvl.num_nodes), lvl.edge_a, lvl.edge_b);
 }
 
 namespace {
@@ -888,14 +813,24 @@ void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
   // node-disjoint, so they solve in parallel; each pool thread uses its
   // own factorization scratch.
   smp::ThreadPool& pool = smp::ThreadPool::global();
-  if (s.line_scratch.size() < std::size_t(pool.num_threads()))
+  const auto& all_lines = lvl.lines.lines;
+  if (s.line_scratch.size() < std::size_t(pool.num_threads())) {
     s.line_scratch.resize(std::size_t(pool.num_threads()));
+    std::size_t longest = 0;
+    for (const auto& line : all_lines) longest = std::max(longest, line.size());
+    for (Scratch::LineScratch& ls : s.line_scratch) {
+      ls.lower.reserve(longest);
+      ls.dd.reserve(longest);
+      ls.upper.reserve(longest);
+      ls.rhs.reserve(longest);
+      ls.lu.reserve(longest);
+    }
+  }
   const Prim* const w = s.w.data();
   const real_t* const mut = s.mut.data();
   const BlockMat<6>* const diag = s.diag.data();
   const real_t mu_lam = phys.mu_lam;
   const bool viscous = phys.viscous;
-  const auto& all_lines = lvl.lines.lines;
   OBS_COUNT("nsu3d.line_solves", all_lines.size());
   pool.parallel_for(0, all_lines.size(), kLineGrain,
                     [&](std::size_t lb, std::size_t le, int tid) {
@@ -964,7 +899,8 @@ void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
         }
         lower[k + 1] = offl;
       }
-      if (!linalg::solve_block_tridiag_status<6>(lower, dd, upper, rhs)) {
+      if (!linalg::solve_block_tridiag_status<6>(lower, dd, upper, rhs,
+                                                 ls.lu)) {
         OBS_COUNT("resil.singular_pivot", 1);
         continue;
       }

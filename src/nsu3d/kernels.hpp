@@ -4,9 +4,9 @@
 //
 //  * Per-EDGE quantities (endpoints, normals, midpoint offsets, viscous
 //    metric) live in contiguous per-component real_t arrays on Level.
-//    Each edge-sweep task walks its owner list (EdgeOwners) in ascending
-//    storage order, so each array is a forward stream the prefetcher
-//    handles.
+//    Each edge-sweep task walks its owner list (smp::EdgeOwners) in
+//    ascending storage order, so each array is a forward stream the
+//    prefetcher handles.
 //  * Per-NODE quantities are gathered/scattered by node index inside the
 //    edge sweeps, so what matters is how many cache lines one node visit
 //    touches. They live in fixed-stride per-node component blocks sized
@@ -43,6 +43,7 @@
 #include "euler/state.hpp"
 #include "linalg/block.hpp"
 #include "nsu3d/level.hpp"
+#include "smp/owners.hpp"
 #include "support/types.hpp"
 
 namespace columbia::nsu3d {
@@ -109,27 +110,6 @@ struct Physics {
   bool viscous = true;
 };
 
-/// Owner-writes decomposition for the edge sweeps. The nodes are split
-/// into `parts` contiguous index ranges balanced by edge endpoints; part p
-/// lists, in ascending edge index, every edge with an endpoint it owns,
-/// flagged with the sides it owns. A sweep runs one task per part, and a
-/// task accumulates into its own nodes only: an edge whose endpoints lie
-/// in two parts is evaluated by both, each writing its own side. So every
-/// node is written by one task, in ascending edge order — the order of a
-/// serial sweep — whatever the part count or the split.
-struct EdgeOwners {
-  static constexpr std::uint32_t kOwnA = 1, kOwnB = 2, kOwnBoth = 3;
-
-  int parts = 0;
-  std::size_t num_nodes = 0, num_edges = 0;  // level the lists describe
-  std::vector<index_t> node_begin;  // part p owns [node_begin[p], node_begin[p+1])
-  std::vector<std::size_t> offsets;  // part p lists entries [offsets[p], offsets[p+1])
-  std::vector<std::uint32_t> entries;  // (edge << 2) | kOwnA / kOwnB bits
-
-  /// Rebuilds the lists for `lvl` split into `num_parts` parts; O(N + E).
-  void build(const Level& lvl, int num_parts);
-};
-
 /// Per-level SoA scratch. Persistent across sweeps (vectors keep their
 /// capacity). Per-node fields use the fixed-stride component blocks
 /// described above; per-edge fields are unit-stride streams.
@@ -160,11 +140,16 @@ struct Scratch {
   struct LineScratch {
     std::vector<linalg::BlockMat<6>> lower, dd, upper;
     std::vector<linalg::BlockVec<6>> rhs;
+    std::vector<linalg::BlockLU<6>> lu;
   };
-  std::vector<LineScratch> line_scratch;  // one slot per pool thread
+  /// One slot per pool thread, each reserved for the level's longest line
+  /// so a steady-state sweep allocates nothing whichever thread takes
+  /// which line.
+  std::vector<LineScratch> line_scratch;
 
-  /// Edge-sweep owner lists, built on first use for the pool width.
-  EdgeOwners owners;
+  /// Edge-sweep owner lists (smp/owners.hpp), built on first use for the
+  /// pool width.
+  smp::EdgeOwners owners;
 
   /// Sizes the per-node and per-edge arrays (residual-path fields only;
   /// smoother fields are sized by their kernels).
@@ -173,7 +158,7 @@ struct Scratch {
 
 /// The owner lists the edge sweeps use: `s.owners`, rebuilt first when the
 /// pool width or the level's size no longer match it.
-const EdgeOwners& edge_owners(const Level& lvl, Scratch& s);
+const smp::EdgeOwners& edge_owners(const Level& lvl, Scratch& s);
 
 // --- Residual phase kernels (all pool-parallel, bit-identical across
 // thread counts). Call order: prim_cache -> gradients (optional) ->

@@ -28,7 +28,7 @@ struct Level {
   /// Edges are stored color-major (paper Sec. III colors the edge loop):
   /// sorted by graph color, so consecutive edges rarely share a node. The
   /// threaded sweeps no longer rely on the colors — each node is written
-  /// by one owner task in ascending edge order (kernels::EdgeOwners), so
+  /// by one owner task in ascending edge order (smp::EdgeOwners), so
   /// results are bit-identical for any thread count with or without the
   /// sort — but the sort stays the storage order so histories match those
   /// computed before.

@@ -43,6 +43,15 @@ bool spin_until(Pred&& ready) {
   }
 }
 
+/// The calling thread's ScopedPool binding (a worker is bound to its own
+/// pool), or null for the process-wide pool.
+thread_local ThreadPool* t_bound = nullptr;
+
+/// Set while the calling thread runs a parallel region: a worker for its
+/// whole life, a caller for the duration of its job. Any parallel_for or
+/// reduce_sum made from inside a region runs inline.
+thread_local bool t_in_region = false;
+
 }  // namespace
 
 int env_threads() {
@@ -55,9 +64,16 @@ int env_threads() {
 }
 
 ThreadPool& ThreadPool::global() {
+  if (ThreadPool* bound = t_bound) return *bound;
   static ThreadPool pool;
   return pool;
 }
+
+ScopedPool::ScopedPool(ThreadPool& pool) : previous_(t_bound) {
+  t_bound = &pool;
+}
+
+ScopedPool::~ScopedPool() { t_bound = previous_; }
 
 void set_global_threads(int num_threads) {
   ThreadPool::global().resize(num_threads);
@@ -128,6 +144,8 @@ void ThreadPool::publish_stats() const {
 }
 
 void ThreadPool::worker_loop(int tid, std::uint32_t seen) {
+  t_bound = this;
+  t_in_region = true;
   const auto published = [&] {
     return stopping_.load(std::memory_order_acquire) ||
            generation_of(ticket_.load(std::memory_order_acquire)) != seen;
@@ -195,7 +213,9 @@ void ThreadPool::run_job(const RangeFn& fn, std::size_t begin, std::size_t end,
                   std::memory_order_release);
   }
   start_cv_.notify_all();
+  t_in_region = true;
   work_chunks(0, gen);  // the caller participates
+  t_in_region = false;
   const auto done = [&] {
     return chunks_done_.load(std::memory_order_acquire) == chunks;
   };
@@ -205,27 +225,17 @@ void ThreadPool::run_job(const RangeFn& fn, std::size_t begin, std::size_t end,
   }
 }
 
-namespace {
-/// One job at a time; nested or concurrent parallel regions fall back to
-/// the inline serial path (well-defined from any thread, unlike a
-/// recursive try_lock).
-std::atomic_flag g_busy = ATOMIC_FLAG_INIT;
-}  // namespace
-
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               std::size_t grain, const RangeFn& fn) {
   if (end <= begin) return;
   grain = std::max<std::size_t>(1, grain);
-  if (num_threads_ == 1 || end - begin <= grain) {
-    fn(begin, end, 0);
-    return;
-  }
-  if (g_busy.test_and_set(std::memory_order_acquire)) {
+  if (num_threads_ == 1 || end - begin <= grain || t_in_region ||
+      busy_.test_and_set(std::memory_order_acquire)) {
     fn(begin, end, 0);
     return;
   }
   run_job(fn, begin, end, grain, num_chunks(begin, end, grain));
-  g_busy.clear(std::memory_order_release);
+  busy_.clear(std::memory_order_release);
 }
 
 real_t ThreadPool::reduce_sum(std::size_t begin, std::size_t end,
@@ -233,24 +243,24 @@ real_t ThreadPool::reduce_sum(std::size_t begin, std::size_t end,
   if (end <= begin) return 0;
   grain = std::max<std::size_t>(1, grain);
   const std::size_t chunks = num_chunks(begin, end, grain);
-  std::vector<real_t> partial(chunks, 0.0);
-  // Identical chunking on every path keeps the combine order — and thus
-  // the rounding — independent of the thread count.
-  const bool serial = num_threads_ == 1 || chunks == 1 ||
-                      g_busy.test_and_set(std::memory_order_acquire);
-  if (serial) {
+  // Identical chunking on every path, and partials added in ascending
+  // chunk order, keep the rounding independent of the thread count.
+  real_t sum = 0;
+  if (num_threads_ == 1 || chunks == 1 || t_in_region ||
+      busy_.test_and_set(std::memory_order_acquire)) {
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t b = begin + c * grain;
-      partial[c] = fn(b, std::min(end, b + grain));
+      sum += fn(b, std::min(end, b + grain));
     }
-  } else {
-    const RangeFn chunked = [&](std::size_t b, std::size_t e, int) {
-      partial[(b - begin) / grain] = fn(b, e);
-    };
-    run_job(chunked, begin, end, grain, chunks);
-    g_busy.clear(std::memory_order_release);
+    return sum;
   }
-  real_t sum = 0;
+  partial_.resize(chunks);
+  real_t* const partial = partial_.data();
+  const auto chunked = [&](std::size_t b, std::size_t e, int) {
+    partial[(b - begin) / grain] = fn(b, e);
+  };
+  run_job(chunked, begin, end, grain, chunks);
+  busy_.clear(std::memory_order_release);
   for (std::size_t c = 0; c < chunks; ++c) sum += partial[c];
   return sum;
 }

@@ -1,4 +1,4 @@
-// Shared-memory parallel kernel layer: a persistent thread pool driving
+// Shared-memory parallel kernel layer: persistent thread pools driving
 // chunked range loops and deterministic tree reductions.
 //
 // This is the intra-node tier of the paper's hybrid model (Sec. III,
@@ -6,14 +6,23 @@
 // OpenMP while MPI handles the inter-node tier. Here the same role is
 // played by a process-wide pool whose thread count comes from the
 // COLUMBIA_THREADS environment variable (default: hardware concurrency;
-// 1 selects an exact serial path with zero synchronization).
+// 1 selects an exact serial path with zero synchronization). A thread may
+// bind its own pool (ScopedPool) — the database fill runs each case on
+// one — and every kernel reaches the calling thread's pool through
+// ThreadPool::global().
 //
 // Determinism contract: chunk boundaries depend only on (n, grain), never
 // on the thread count, and reduction partials are combined in chunk order
 // on the calling thread. Kernels that scatter across indices keep their
-// own per-index write order fixed (the NSU3D edge sweeps give every node
-// one owning task that visits its edges in ascending order), so every
-// solver kernel produces bit-identical results for any thread count.
+// own per-index write order fixed (the edge and face sweeps give every
+// vertex one owning task that visits its edges in ascending order; see
+// smp/owners.hpp), so every solver kernel produces bit-identical results
+// for any thread count.
+//
+// One job at a time per pool: a call that finds its pool busy (another
+// thread's job in flight) or that is made from inside a parallel region
+// (a chunk body, on any pool) runs inline on the calling thread. Two
+// pools run their jobs concurrently.
 //
 // Wake-up: workers spin on the job generation for kSpinBudget before they
 // sleep on a condition variable, and the caller waits for completion the
@@ -25,10 +34,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "support/types.hpp"
@@ -39,6 +49,34 @@ namespace columbia::smp {
 /// >= 1, else std::thread::hardware_concurrency().
 int env_threads();
 
+/// Non-owning reference to a callable, so handing a kernel lambda to the
+/// pool never allocates (std::function heap-allocates captures larger than
+/// two pointers). The referenced callable must outlive the call.
+template <class Sig>
+class FunctionRef;
+
+template <class R, class... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
+             std::is_invocable_r_v<R, F&, Args...>)
+  FunctionRef(F&& f) noexcept  // implicit, like std::function
+      : obj_(const_cast<void*>(static_cast<const void*>(&f))),
+        call_([](void* o, Args... a) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(o))(
+              std::forward<Args>(a)...);
+        }) {}
+
+  R operator()(Args... a) const {
+    return call_(obj_, std::forward<Args>(a)...);
+  }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
+};
+
 class ThreadPool {
  public:
   /// How long an idle worker (or a caller waiting for its job's last
@@ -46,7 +84,9 @@ class ThreadPool {
   /// the pool jobs of one multigrid cycle; an idle pool sleeps after it.
   static constexpr std::chrono::microseconds kSpinBudget{1000};
 
-  /// Process-wide pool, sized by env_threads() on first use.
+  /// The calling thread's pool: the one bound by the innermost live
+  /// ScopedPool on this thread (a pool's own workers are bound to it),
+  /// else the process-wide pool, sized by env_threads() on first use.
   static ThreadPool& global();
 
   explicit ThreadPool(int num_threads = env_threads());
@@ -57,16 +97,17 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  /// Re-sizes the pool (joins and respawns workers). Intended for tests
-  /// and benchmarks that sweep thread counts; must not be called from
-  /// inside a parallel region.
+  /// Re-sizes the pool (joins and respawns workers). For tests and
+  /// benchmarks that sweep thread counts, and for the database fill's
+  /// lending between cycles; must not be called while a job of this pool
+  /// is in flight.
   void resize(int num_threads);
 
   /// fn(begin, end, tid) over contiguous chunks of [begin, end). `tid` is
   /// the index of the executing thread in [0, num_threads()) — use it to
   /// select per-thread scratch. Chunk boundaries are a pure function of
   /// the range and grain. Serial path: one inline call fn(begin, end, 0).
-  using RangeFn = std::function<void(std::size_t, std::size_t, int)>;
+  using RangeFn = FunctionRef<void(std::size_t, std::size_t, int)>;
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const RangeFn& fn);
 
@@ -74,7 +115,7 @@ class ThreadPool {
   /// one chunk; partials are combined in ascending chunk order on the
   /// calling thread, so the result is bit-identical for every thread
   /// count (including 1).
-  using ReduceFn = std::function<real_t(std::size_t, std::size_t)>;
+  using ReduceFn = FunctionRef<real_t(std::size_t, std::size_t)>;
   real_t reduce_sum(std::size_t begin, std::size_t end, std::size_t grain,
                     const ReduceFn& fn);
 
@@ -127,6 +168,12 @@ class ThreadPool {
   alignas(64) std::atomic<std::uint64_t> ticket_{0};
   alignas(64) std::atomic<std::size_t> chunks_done_{0};
   std::atomic<bool> stopping_{false};
+  /// Set while a job of this pool is in flight; a second caller that
+  /// finds it set runs its range inline.
+  std::atomic_flag busy_ = ATOMIC_FLAG_INIT;
+  /// Reduction partials, one per chunk; capacity persists across calls.
+  /// Touched only by the caller holding busy_.
+  std::vector<real_t> partial_;
   /// Guards only the sleep paths: publishing a job, the last chunk's
   /// completion, and stopping each touch it so no sleeper misses a wake.
   std::mutex mu_;
@@ -134,7 +181,21 @@ class ThreadPool {
   std::condition_variable done_cv_;
 };
 
-/// Convenience: resize the global pool (tests / thread-sweep benchmarks).
+/// Binds `pool` as ThreadPool::global() for the calling thread for this
+/// object's lifetime; the destructor restores the previous binding.
+class ScopedPool {
+ public:
+  explicit ScopedPool(ThreadPool& pool);
+  ~ScopedPool();
+  ScopedPool(const ScopedPool&) = delete;
+  ScopedPool& operator=(const ScopedPool&) = delete;
+
+ private:
+  ThreadPool* previous_;
+};
+
+/// Convenience: resize the calling thread's pool, ThreadPool::global()
+/// (tests / thread-sweep benchmarks).
 void set_global_threads(int num_threads);
 
 /// Chunk count used by the pool for a range: ceil((end-begin)/grain).

@@ -59,12 +59,17 @@ struct ControlBlock {
 /// the point — a hung rank goes silent on every plane at once.
 class HeartbeatPulse {
  public:
+  /// The first pulse is sent here, on the rank's own thread: a rank whose
+  /// body finished before the pulse thread was first scheduled used to
+  /// report no heartbeat at all.
   HeartbeatPulse(MemberControl& slot, int period_ms)
       : slot_(slot), period_ms_(period_ms) {
+    slot_.heartbeat.fetch_add(1, std::memory_order_relaxed);
     thread_ = std::thread([this] {
-      while (!stop_.load(std::memory_order_relaxed)) {
-        slot_.heartbeat.fetch_add(1, std::memory_order_relaxed);
+      while (true) {
         std::this_thread::sleep_for(std::chrono::milliseconds(period_ms_));
+        if (stop_.load(std::memory_order_relaxed)) break;
+        slot_.heartbeat.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }

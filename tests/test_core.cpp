@@ -2,7 +2,8 @@
 // bit-identical to the legacy per-call smp::exchange_* reference
 // implementation (both strategies, with halo fault injection on or off),
 // allocation-free in steady state, and the unified cycle bookkeeping must
-// reproduce the solvers' historical visit counts.
+// reproduce the solvers' historical visit counts. Steady-state multigrid
+// cycles of both solvers allocate nothing either, at any pool width.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,14 +12,17 @@
 #include <new>
 
 #include "cart3d/partitioned.hpp"
+#include "cart3d/solver.hpp"
 #include "core/exchange_plan.hpp"
 #include "core/params.hpp"
 #include "geom/components.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/partitioned.hpp"
+#include "nsu3d/solver.hpp"
 #include "perf/loads.hpp"
 #include "resil/faults.hpp"
 #include "smp/hybrid.hpp"
+#include "smp/pool.hpp"
 #include "support/random.hpp"
 
 // ---------------------------------------------------------------------------
@@ -374,6 +378,63 @@ TEST(PlanConsumers, Cart3dParallelResidualMatchesSinglePartition) {
   InjectorGuard faults("seed=9,halo_corrupt=0.3,halo_drop=0.3");
   const auto faulted = cart3d::parallel_residual(m, u, inf, part, 4);
   EXPECT_EQ(par, faulted);
+}
+
+// --- Solvers: steady-state multigrid cycles allocate nothing. ---
+
+/// Heap allocations over `cycles` multigrid cycles that follow two warm-up
+/// cycles (which size every scratch vector and build the owner lists).
+template <class Solver>
+std::uint64_t steady_cycle_allocations(Solver& s, int cycles) {
+  for (int c = 0; c < 2; ++c) s.run_cycle();
+  const std::uint64_t before = g_alloc_count.load();
+  for (int c = 0; c < cycles; ++c) s.run_cycle();
+  return g_alloc_count.load() - before;
+}
+
+/// Sets the pool width for one scope, then restores a single thread.
+struct PoolWidth {
+  explicit PoolWidth(int t) { smp::set_global_threads(t); }
+  ~PoolWidth() { smp::set_global_threads(1); }
+};
+
+TEST(SteadyState, Nsu3dCyclesPerformZeroAllocations) {
+  mesh::WingMeshSpec spec;
+  spec.n_wrap = 24;
+  spec.n_span = 3;
+  spec.n_normal = 10;
+  spec.wall_spacing = 1e-4;
+  const auto m = mesh::make_wing_mesh(spec);
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  fc.reynolds = 3e6;
+  nsu3d::Nsu3dOptions o;  // line-implicit RANS
+  o.mg_levels = 3;
+  for (int t : {1, 4}) {
+    PoolWidth width(t);
+    nsu3d::Nsu3dSolver s(m, fc, o);
+    EXPECT_EQ(steady_cycle_allocations(s, 3), 0u) << "width " << t;
+  }
+}
+
+TEST(SteadyState, Cart3dCyclesPerformZeroAllocations) {
+  const auto sphere = geom::make_sphere({0, 0, 0}, 0.4, 16, 32);
+  geom::Aabb dom;
+  dom.expand({-1.5, -1.5, -1.5});
+  dom.expand({1.5, 1.5, 1.5});
+  cartesian::CartMeshOptions mopt;
+  mopt.base_n = 8;
+  mopt.max_level = 2;
+  const cartesian::CartMesh m = cartesian::build_cart_mesh(sphere, dom, mopt);
+  euler::FlowConditions fc;
+  fc.mach = 0.5;
+  cart3d::SolverOptions o;
+  o.mg_levels = 3;
+  for (int t : {1, 4}) {
+    PoolWidth width(t);
+    cart3d::Cart3DSolver s(m, fc, o);
+    EXPECT_EQ(steady_cycle_allocations(s, 3), 0u) << "width " << t;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "driver/variable_fidelity.hpp"
 
 namespace columbia::driver {
@@ -64,6 +66,39 @@ TEST(Database, DeflectionChangesForces) {
   const auto results = fill.run();
   ASSERT_EQ(results.size(), 2u);
   EXPECT_NE(results[0].cl, results[1].cl);
+}
+
+TEST(Database, CappedCasesAreReportedUnconverged) {
+  // Two cycles cannot drop the residual six orders: every case stops at
+  // the cap. Its status stays the guard outcome (ok), it is not retried
+  // or degraded, and it is reported unconverged.
+  DatabaseSpec spec = tiny_db();
+  spec.deflections = {0.0};
+  spec.max_cycles = 2;
+  spec.convergence_orders = 6;
+  DatabaseFill fill(spec);
+  const auto results = fill.run();
+  ASSERT_EQ(results.size(), 4u);
+  for (const auto& r : results) {
+    EXPECT_EQ(r.status, CaseStatus::Ok);
+    EXPECT_EQ(r.attempts, 1);
+    EXPECT_EQ(r.cycles, 2);
+    EXPECT_GT(r.residual_drop, 1e-6);
+    EXPECT_FALSE(r.converged);
+  }
+  EXPECT_EQ(fill.stats().cases_unconverged, 4);
+
+  // At a target of 0.001 orders some cases get there in two cycles and
+  // stop early; the verdict follows residual_drop case by case.
+  spec.convergence_orders = 1e-3;
+  DatabaseFill easy(spec);
+  int unconverged = 0;
+  for (const auto& r : easy.run()) {
+    EXPECT_EQ(r.converged, r.residual_drop <= std::pow(10.0, -1e-3));
+    unconverged += r.converged ? 0 : 1;
+  }
+  EXPECT_LT(unconverged, 4);
+  EXPECT_EQ(easy.stats().cases_unconverged, unconverged);
 }
 
 TEST(Campaign, VariableFidelityEndToEnd) {

@@ -226,7 +226,7 @@ TEST(Cart3dSoA, ResidualMatchesReferenceBitwiseAcrossThreads) {
     cart3d::kernels::residual_reference(m, inf, euler::FluxScheme::Roe, u,
                                         second_order, rs, ref);
 
-    for (int threads : {1, 2, 4}) {
+    for (int threads : {1, 2, 3, 4}) {
       smp::set_global_threads(threads);
       cart3d::kernels::Scratch s;
       std::vector<euler::Cons> res;

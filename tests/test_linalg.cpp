@@ -189,8 +189,9 @@ TEST(TridiagStatus, ReportsSingularRowAndColumn) {
   std::vector<BlockVec<2>> rhs(n);
   for (std::size_t i = 0; i < n; ++i) diag[i] = BlockMat<2>::diagonal(3.0);
   diag[2] = BlockMat<2>{};  // singular pivot block
+  std::vector<BlockLU<2>> lu;
   const TridiagStatus st =
-      solve_block_tridiag_status<2>(lower, diag, upper, rhs);
+      solve_block_tridiag_status<2>(lower, diag, upper, rhs, lu);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.row, 2u);
   EXPECT_EQ(st.factor.pivot_col, 0);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -171,6 +172,94 @@ TEST(Pool, EmptyRangeIsNoop) {
   EXPECT_EQ(pool.reduce_sum(3, 3, 8, [](std::size_t, std::size_t) {
     return real_t(1);
   }), real_t(0));
+}
+
+/// Polls `ready` until it holds or `limit` passes; returns whether it held.
+template <class Pred>
+bool wait_for(Pred&& ready, std::chrono::seconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(Pool, TwoPoolsRunJobsConcurrentlyOnTheirOwnWorkers) {
+  // Each pool's job has two chunks. The caller's chunk holds until one of
+  // the pool's workers has taken the other, and that worker holds until
+  // the other pool's worker is running too: both jobs are then in flight
+  // at once, each on its own pool's workers. A process-wide busy flag
+  // would run the second job inline and strand the first worker.
+  ThreadPool pools[2] = {ThreadPool(2), ThreadPool(2)};
+  std::atomic<bool> worker_in[2] = {false, false};
+  bool overlapped[2] = {false, false};
+  std::thread::id worker_id[2];
+  auto drive = [&](int k) {
+    pools[k].parallel_for(0, 2, 1, [&](std::size_t, std::size_t, int tid) {
+      if (tid == 0) {
+        wait_for([&] { return worker_in[k].load(); }, std::chrono::seconds(10));
+        return;
+      }
+      worker_id[k] = std::this_thread::get_id();
+      worker_in[k] = true;
+      overlapped[k] = wait_for([&] { return worker_in[1 - k].load(); },
+                               std::chrono::seconds(10));
+    });
+  };
+  std::thread a(drive, 0), b(drive, 1);
+  a.join();
+  b.join();
+  EXPECT_TRUE(overlapped[0]);
+  EXPECT_TRUE(overlapped[1]);
+  EXPECT_NE(worker_id[0], worker_id[1]);
+  EXPECT_NE(worker_id[0], a.get_id());
+  EXPECT_NE(worker_id[1], b.get_id());
+}
+
+TEST(Pool, CallFromInsideARegionStaysInlineOnAnyPool) {
+  ThreadPool outer(4), inner(4);
+  std::atomic<int> inner_calls{0}, inline_calls{0};
+  outer.parallel_for(0, 4, 1, [&](std::size_t, std::size_t, int) {
+    inner.parallel_for(0, 1000, 16, [&](std::size_t b, std::size_t e,
+                                        int tid) {
+      ++inner_calls;
+      if (b == 0 && e == 1000 && tid == 0) ++inline_calls;
+    });
+    const real_t sum = inner.reduce_sum(
+        0, 100, 10, [](std::size_t b, std::size_t e) { return real_t(e - b); });
+    EXPECT_EQ(sum, real_t(100));
+  });
+  // One whole-range inline call per outer chunk, none split across the
+  // idle inner pool's workers.
+  EXPECT_EQ(inner_calls.load(), 4);
+  EXPECT_EQ(inline_calls.load(), 4);
+}
+
+TEST(Pool, ScopedPoolBindsTheCallingThreadAndRestores) {
+  ThreadPool& process = ThreadPool::global();
+  ThreadPool a(2), b(3);
+  {
+    const ScopedPool bind_a(a);
+    EXPECT_EQ(&ThreadPool::global(), &a);
+    {
+      const ScopedPool bind_b(b);
+      EXPECT_EQ(&ThreadPool::global(), &b);
+      // The pool's own workers see it as their pool too.
+      std::atomic<int> elsewhere{0};
+      b.parallel_for(0, 64, 1, [&](std::size_t, std::size_t, int) {
+        if (&ThreadPool::global() != &b) ++elsewhere;
+      });
+      EXPECT_EQ(elsewhere.load(), 0);
+    }
+    EXPECT_EQ(&ThreadPool::global(), &a);
+    // Other threads keep the process-wide pool.
+    ThreadPool* seen = nullptr;
+    std::thread t([&] { seen = &ThreadPool::global(); });
+    t.join();
+    EXPECT_EQ(seen, &process);
+  }
+  EXPECT_EQ(&ThreadPool::global(), &process);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cart3d/solver.hpp"
+#include "driver/database.hpp"
 #include "geom/components.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/solver.hpp"
@@ -91,31 +92,116 @@ TEST(ThreadEquivalence, Nsu3dUncoloredHistoryBitIdentical) {
       "uncolored");
 }
 
-TEST(ThreadEquivalence, Cart3dHistoryBitIdentical) {
+/// The owner-list invariant for edges (a[e], b[e]) over `nv` vertices: the
+/// parts tile [0, nv) in order, and part p lists, in ascending edge index,
+/// exactly the edges with an endpoint in its range, flagged with the sides
+/// it owns — so each edge is listed once per owner.
+void expect_owner_lists(std::size_t nv, const std::vector<index_t>& ea,
+                        const std::vector<index_t>& eb, int parts) {
+  using O = smp::EdgeOwners;
+  O own;
+  own.build(nv, ea, eb, parts);
+  const std::size_t np = std::size_t(parts);
+  ASSERT_EQ(own.vertex_begin.size(), np + 1);
+  EXPECT_EQ(own.vertex_begin.front(), 0);
+  EXPECT_EQ(std::size_t(own.vertex_begin.back()), nv);
+  for (std::size_t p = 0; p < np; ++p)
+    ASSERT_LE(own.vertex_begin[p], own.vertex_begin[p + 1]);
+  auto owner = [&](index_t v) {
+    std::size_t p = 0;
+    while (v >= own.vertex_begin[p + 1]) ++p;
+    return p;
+  };
+  ASSERT_EQ(own.offsets.size(), np + 1);
+  ASSERT_EQ(own.offsets.back(), own.entries.size());
+  std::vector<int> listed(ea.size(), 0);
+  for (std::size_t p = 0; p < np; ++p) {
+    std::int64_t prev = -1;
+    for (std::size_t k = own.offsets[p]; k < own.offsets[p + 1]; ++k) {
+      const std::uint32_t x = own.entries[k];
+      const std::size_t e = x >> 2;
+      ASSERT_LT(e, ea.size());
+      ASSERT_GT(std::int64_t(e), prev) << "part " << p << " not ascending";
+      prev = std::int64_t(e);
+      EXPECT_EQ(bool(x & O::kOwnA), owner(ea[e]) == p) << "edge " << e;
+      EXPECT_EQ(bool(x & O::kOwnB), owner(eb[e]) == p) << "edge " << e;
+      ++listed[e];
+    }
+  }
+  for (std::size_t e = 0; e < ea.size(); ++e)
+    ASSERT_EQ(listed[e], owner(ea[e]) == owner(eb[e]) ? 1 : 2) << "edge " << e;
+}
+
+cartesian::CartMesh small_sphere(int max_level) {
   geom::Aabb domain;
   domain.expand({-1.5, -1.5, -1.5});
   domain.expand({1.5, 1.5, 1.5});
   const auto sphere = geom::make_sphere({0, 0, 0}, 0.4, 16, 32);
   cartesian::CartMeshOptions mo;
   mo.base_n = 8;
-  mo.max_level = 2;
-  const auto m = cartesian::build_cart_mesh(sphere, domain, mo);
+  mo.max_level = max_level;
+  return cartesian::build_cart_mesh(sphere, domain, mo);
+}
 
+euler::FlowConditions sphere_flow() {
   euler::FlowConditions fc;
   fc.mach = 0.3;
+  fc.alpha_deg = 2.0;
+  return fc;
+}
+
+cart3d::SolverOptions sphere_options() {
   cart3d::SolverOptions o;
-  o.mg_levels = 2;
-  auto run = [&](int threads) {
-    PoolGuard guard;
-    smp::set_global_threads(threads);
-    cart3d::Cart3DSolver s(m, fc, o);
-    return s.solve(8, 12);
-  };
-  const auto h1 = run(1);
-  const auto h4 = run(4);
-  ASSERT_EQ(h1.size(), h4.size());
-  for (std::size_t i = 0; i < h1.size(); ++i)
-    EXPECT_EQ(h1[i], h4[i]) << "cycle " << i;
+  o.mg_levels = 3;  // W-cycle, two pre- and one post-smoothing step
+  return o;
+}
+
+TEST(ThreadEquivalence, Cart3dHistoryBitIdentical) {
+  // Face sweeps are owner-writes: every cell receives its face
+  // contributions in ascending face order at any width, so histories,
+  // the final fine state and the forces match width 1 bit for bit.
+  for (int max_level : {2, 3}) {
+    const auto m = small_sphere(max_level);
+    struct Run {
+      std::vector<real_t> history;
+      std::vector<euler::Cons> state;
+      cart3d::Forces forces;
+    };
+    auto run = [&](int threads) {
+      PoolGuard guard;
+      smp::set_global_threads(threads);
+      cart3d::Cart3DSolver s(m, sphere_flow(), sphere_options());
+      Run r;
+      r.history = s.solve(6, 12);
+      r.state = s.solution();
+      r.forces = s.integrate_forces();
+      return r;
+    };
+    const Run r1 = run(1);
+    for (int t : {2, 3, 4}) {
+      SCOPED_TRACE(testing::Message() << "max_level " << max_level
+                                      << " threads " << t);
+      const Run rt = run(t);
+      expect_same_history(r1.history, rt.history, "cart3d");
+      EXPECT_TRUE(r1.state == rt.state) << "fine state differs";
+      EXPECT_EQ(r1.forces.cd, rt.forces.cd);
+      EXPECT_EQ(r1.forces.cl, rt.forces.cl);
+    }
+  }
+}
+
+TEST(FaceOwners, ListsEveryFaceOncePerOwnerInAscendingOrder) {
+  const auto m = small_sphere(2);
+  const cart3d::Cart3DSolver s(m, sphere_flow(), sphere_options());
+  for (int l = 0; l < s.num_levels(); ++l) {
+    cart3d::kernels::LevelGeom g;
+    g.build(s.mesh(l));
+    ASSERT_GT(g.faces, 0u);
+    for (int parts = 1; parts <= 5; ++parts) {
+      SCOPED_TRACE(testing::Message() << "level " << l << " parts " << parts);
+      expect_owner_lists(g.cells, g.fl, g.fr, parts);
+    }
+  }
 }
 
 TEST(ColorReorder, SpansAreConflictFree) {
@@ -128,8 +214,8 @@ TEST(ColorReorder, SpansAreConflictFree) {
   const auto levels = nsu3d::build_levels(m, lo);
   for (const nsu3d::Level& lvl : levels) {
     for (int parts : {2, 4}) {
-      nsu3d::kernels::EdgeOwners own;
-      own.build(lvl, parts);
+      smp::EdgeOwners own;
+      own.build(std::size_t(lvl.num_nodes), lvl.edge_a, lvl.edge_b, parts);
       std::vector<int> writer(std::size_t(lvl.num_nodes), -1);
       for (int p = 0; p < parts; ++p) {
         const std::size_t pp = std::size_t(p);
@@ -137,11 +223,11 @@ TEST(ColorReorder, SpansAreConflictFree) {
           const std::uint32_t x = own.entries[k];
           const auto [a, b] = lvl.edges[x >> 2];
           for (const auto& [node, bit] :
-               {std::pair{a, nsu3d::kernels::EdgeOwners::kOwnA},
-                std::pair{b, nsu3d::kernels::EdgeOwners::kOwnB}}) {
+               {std::pair{a, smp::EdgeOwners::kOwnA},
+                std::pair{b, smp::EdgeOwners::kOwnB}}) {
             if (!(x & bit)) continue;
-            ASSERT_GE(node, own.node_begin[pp]) << "part " << p;
-            ASSERT_LT(node, own.node_begin[pp + 1]) << "part " << p;
+            ASSERT_GE(node, own.vertex_begin[pp]) << "part " << p;
+            ASSERT_LT(node, own.vertex_begin[pp + 1]) << "part " << p;
             int& w = writer[std::size_t(node)];
             ASSERT_TRUE(w == -1 || w == p) << "node " << node;
             w = p;
@@ -158,45 +244,12 @@ TEST(EdgeOwners, ListsEveryEdgeOncePerOwnerInAscendingOrder) {
   lo.num_levels = 4;
   const auto levels = nsu3d::build_levels(m, lo);
   ASSERT_GE(levels.size(), 3u);
-  using O = nsu3d::kernels::EdgeOwners;
   for (std::size_t l = 0; l < levels.size(); ++l) {
     const nsu3d::Level& lvl = levels[l];
     for (int parts = 1; parts <= 5; ++parts) {
       SCOPED_TRACE(testing::Message() << "level " << l << " parts " << parts);
-      O own;
-      own.build(lvl, parts);
-      const std::size_t np = std::size_t(parts);
-      ASSERT_EQ(own.node_begin.size(), np + 1);
-      EXPECT_EQ(own.node_begin.front(), 0);
-      EXPECT_EQ(own.node_begin.back(), lvl.num_nodes);
-      for (std::size_t p = 0; p < np; ++p)
-        ASSERT_LE(own.node_begin[p], own.node_begin[p + 1]);
-      auto owner = [&](index_t v) {
-        std::size_t p = 0;
-        while (v >= own.node_begin[p + 1]) ++p;
-        return p;
-      };
-      ASSERT_EQ(own.offsets.size(), np + 1);
-      ASSERT_EQ(own.offsets.back(), own.entries.size());
-      std::vector<int> listed(lvl.edges.size(), 0);
-      for (std::size_t p = 0; p < np; ++p) {
-        std::int64_t prev = -1;
-        for (std::size_t k = own.offsets[p]; k < own.offsets[p + 1]; ++k) {
-          const std::uint32_t x = own.entries[k];
-          const std::size_t e = x >> 2;
-          ASSERT_LT(e, lvl.edges.size());
-          ASSERT_GT(std::int64_t(e), prev) << "part " << p << " not ascending";
-          prev = std::int64_t(e);
-          const auto [a, b] = lvl.edges[e];
-          EXPECT_EQ(bool(x & O::kOwnA), owner(a) == p) << "edge " << e;
-          EXPECT_EQ(bool(x & O::kOwnB), owner(b) == p) << "edge " << e;
-          ++listed[e];
-        }
-      }
-      for (std::size_t e = 0; e < lvl.edges.size(); ++e) {
-        const auto [a, b] = lvl.edges[e];
-        ASSERT_EQ(listed[e], owner(a) == owner(b) ? 1 : 2) << "edge " << e;
-      }
+      expect_owner_lists(std::size_t(lvl.num_nodes), lvl.edge_a, lvl.edge_b,
+                         parts);
     }
   }
 }
@@ -340,6 +393,141 @@ TEST(ResidualReuse, CheckpointRestoreBetweenCyclesKeepsHistory) {
     got.push_back(s.run_cycle());
   }
   expect_same_history(expected, got, "restore");
+}
+
+/// cart3d.residual spans per level over one traced run of `body`.
+template <class Fn>
+std::map<std::int64_t, int> cart3d_residual_calls(Fn&& body) {
+  obs::reset_trace();
+  obs::set_enabled(true);
+  body();
+  obs::set_enabled(false);
+  std::map<std::int64_t, int> calls;
+  for (const obs::TraceEvent& e : obs::trace_snapshot())
+    if (e.phase == 'B' && std::string(e.name) == "cart3d.residual")
+      ++calls[e.arg_or("level", -1)];
+  obs::reset_trace();
+  return calls;
+}
+
+TEST(ResidualReuse, Cart3dCallsPerLevelMatchTheCycle) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const auto m = small_sphere(2);
+  PoolGuard guard;
+  smp::set_global_threads(2);
+  const cart3d::SolverOptions o = sphere_options();
+  cart3d::Cart3DSolver s(m, sphere_flow(), o);
+  const int nl = s.num_levels();
+  ASSERT_EQ(nl, 3);
+  constexpr int kCycles = 5;
+  const auto calls = cart3d_residual_calls([&] { s.solve(kCycles, 30); });
+  // A level visit runs 3 RK stages per smoothing step. Above the coarsest
+  // it also computes its restriction residual, and each restriction
+  // computes the coarse residual, which the coarse visit's first stage
+  // reuses; residual_norm()'s fine residual is reused by the next cycle's
+  // first stage. That leaves 1 + N * per_visit on level 0, N v_l per_visit
+  // in between and N v_l * 3 * pre on the coarsest (per 3-level W-cycle:
+  // 10 / 20 / 12, from 11 / 21 / 14 without reuse).
+  const int pre = 3 * o.smooth_steps, per_visit = pre + 1 +
+                                                   3 * o.post_smooth_steps;
+  const std::vector<cart3d::LevelWork> work = s.level_work();
+  for (int l = 0; l < nl; ++l) {
+    const int v = int(work[std::size_t(l)].visits_per_cycle);
+    const int expected = l == 0        ? 1 + kCycles * per_visit
+                         : l == nl - 1 ? kCycles * v * pre
+                                       : kCycles * v * per_visit;
+    EXPECT_EQ(calls.count(l) ? calls.at(l) : 0, expected) << "level " << l;
+  }
+}
+
+TEST(ResidualReuse, Cart3dForeignResidualBetweenCyclesKeepsHistory) {
+  const auto m = small_sphere(2);
+  PoolGuard guard;
+  smp::set_global_threads(3);
+  cart3d::Cart3DSolver ref(m, sphere_flow(), sphere_options());
+  const std::vector<real_t> expected = ref.solve(6, 30);
+
+  cart3d::Cart3DSolver s(m, sphere_flow(), sphere_options());
+  std::vector<real_t> got{s.residual_norm()};
+  for (int c = 0; c < 6; ++c) {
+    got.push_back(s.run_cycle());
+    // Residuals of another state on every level overwrite the kernel
+    // scratch and any held residual vector a caller passes in.
+    for (int l = 0; l < s.num_levels(); ++l) {
+      std::vector<euler::Cons> u = s.solution(l), r;
+      for (euler::Cons& x : u) x[4] *= 1.01;
+      s.compute_residual(l, u, r, l == 0);
+    }
+  }
+  expect_same_history(expected, got, "foreign residual");
+}
+
+TEST(ResidualReuse, Cart3dCheckpointRestoreBetweenCyclesKeepsHistory) {
+  const auto m = small_sphere(2);
+  PoolGuard guard;
+  smp::set_global_threads(2);
+  cart3d::Cart3DSolver ref(m, sphere_flow(), sphere_options());
+  const std::vector<real_t> expected = ref.solve(6, 30);
+
+  cart3d::Cart3DSolver s(m, sphere_flow(), sphere_options());
+  std::vector<real_t> got{s.residual_norm()};
+  for (int c = 0; c < 6; ++c) {
+    const resil::Checkpoint cp = s.make_checkpoint(std::uint64_t(c), got);
+    // A discarded cycle leaves a held residual of a state the restore
+    // throws away.
+    s.run_cycle();
+    s.restore_checkpoint(cp);
+    got.push_back(s.run_cycle());
+  }
+  expect_same_history(expected, got, "restore");
+}
+
+TEST(Lending, SweepResultsMatchOneCaseAtATime) {
+  // Six cases on a budget of four: once the queue is empty, finished
+  // workers retire and the cases still running grow their pools. The
+  // solvers are bit-identical across widths, so every result matches a
+  // sweep that runs one case at a time on one thread.
+  driver::DatabaseSpec spec;
+  spec.machs = {0.3, 0.5};
+  spec.alphas_deg = {0.0, 2.0, 4.0};
+  spec.geometry = [](real_t) {
+    return geom::make_sphere({0, 0, 0}, 0.4, 16, 32);
+  };
+  spec.domain.expand({-1.5, -1.5, -1.5});
+  spec.domain.expand({1.5, 1.5, 1.5});
+  spec.mesh_options.base_n = 8;
+  spec.mesh_options.max_level = 2;
+  spec.solver_options = sphere_options();
+  spec.max_cycles = 12;
+  spec.convergence_orders = 3;
+
+  spec.simultaneous_cases = 1;
+  const std::vector<driver::CaseResult> one = driver::DatabaseFill(spec).run();
+
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  spec.simultaneous_cases = 4;
+  const std::vector<driver::CaseResult> lent =
+      driver::DatabaseFill(spec).run();
+  obs::set_enabled(false);
+  const std::uint64_t grows = obs::counter("driver.pool_grows").value();
+  obs::reset_trace();
+  obs::reset_metrics();
+
+  ASSERT_EQ(one.size(), 6u);
+  ASSERT_EQ(lent.size(), one.size());
+  for (std::size_t k = 0; k < one.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "case " << k);
+    EXPECT_EQ(lent[k].wind.mach, one[k].wind.mach);
+    EXPECT_EQ(lent[k].wind.alpha_deg, one[k].wind.alpha_deg);
+    EXPECT_EQ(lent[k].cl, one[k].cl);
+    EXPECT_EQ(lent[k].cd, one[k].cd);
+    EXPECT_EQ(lent[k].residual_drop, one[k].residual_drop);
+    EXPECT_EQ(lent[k].cycles, one[k].cycles);
+    EXPECT_EQ(lent[k].converged, one[k].converged);
+    EXPECT_EQ(lent[k].status, one[k].status);
+  }
+  if (obs::kCompiledIn) EXPECT_GT(grows, 0u) << "no case was lent a core";
 }
 
 }  // namespace
