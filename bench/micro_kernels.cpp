@@ -549,10 +549,11 @@ int run_kernels_json(const std::string& path) {
       phase("nsu3d_limiter", [&] { K::limiter(lvl, ws); });
       phase("nsu3d_flux", [&] { K::flux_residual(lvl, phys, ws, true, res); });
       phase("nsu3d_sa_source", [&] { K::sa_source(lvl, phys, ws, res); });
-      // Smoother sweeps: assemble once, then time the update kernels on a
-      // working copy of the state (each call is a valid implicit sweep).
-      K::wave_speeds(lvl, phys, ws);
-      K::assemble_diag(lvl, phys, o.cfl, u, ws);
+      // Smoother: the fused wave-speed + diagonal-block kernel, then the
+      // update sweeps on its blocks, timed on a working copy of the state
+      // (each call is a valid implicit sweep).
+      phase("nsu3d_smoother_blocks",
+            [&] { K::smoother_blocks(lvl, phys, o.cfl, u, ws); });
       const std::vector<nsu3d::State> forcing(u.size(), nsu3d::State{});
       std::vector<nsu3d::State> uu(u.begin(), u.end());
       phase("nsu3d_point_sweep",

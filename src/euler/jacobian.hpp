@@ -1,8 +1,10 @@
 // Analytic Euler flux Jacobian dF/dU.
 //
-// The point- and line-implicit smoothers of NSU3D assemble dense 6x6 blocks
-// per grid point (paper Sec. III); the 5x5 mean-flow part comes from this
-// Jacobian, the sixth (turbulence) row/column from the SA linearization.
+// The point- and line-implicit smoothers of NSU3D (paper Sec. III) solve a
+// 5x5 mean-flow block per grid point, built from this Jacobian, plus a
+// scalar turbulence entry from the SA linearization. The Jacobian is
+// linear in n, which lets the smoother sum it over a node's edges in one
+// evaluation (nsu3d::kernels::smoother_blocks).
 #pragma once
 
 #include "euler/state.hpp"

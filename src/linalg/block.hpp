@@ -1,9 +1,12 @@
 // Fixed-size dense blocks used by the implicit solvers.
 //
 // NSU3D stores six unknowns per grid point (density, momentum x3, energy,
-// turbulence working variable), so the point-implicit and line-implicit
-// schemes invert dense 6x6 blocks at every point (paper Sec. III). Cart3D
-// carries five unknowns per cell. Both sizes instantiate the same templates.
+// turbulence working variable). Its point-implicit and line-implicit
+// schemes (paper Sec. III) invert a dense 5x5 mean-flow block plus a
+// scalar per point: the turbulence row and column of the 6x6 Jacobian
+// couple to nothing else, so the 6x6 block is their direct sum. Cart3D
+// carries five unknowns per cell. All sizes instantiate the same
+// templates.
 #pragma once
 
 #include <array>
@@ -13,6 +16,10 @@
 #include "support/types.hpp"
 
 namespace columbia::linalg {
+
+/// Pivot magnitude below which a factorization reports the matrix singular
+/// to working precision.
+inline constexpr real_t kTinyPivot = 1e-300;
 
 /// Dense fixed-size column vector.
 template <int N>
@@ -166,7 +173,8 @@ class BlockLU {
   /// Factors `m`. When a pivot falls below `tiny` (singular to working
   /// precision) the status reports the failing column and pivot size and
   /// the factorization must not be used.
-  FactorStatus factor_status(const BlockMat<N>& m, real_t tiny = 1e-300) {
+  FactorStatus factor_status(const BlockMat<N>& m,
+                             real_t tiny = kTinyPivot) {
     lu_ = m;
     for (int i = 0; i < N; ++i) piv_[std::size_t(i)] = i;
     for (int col = 0; col < N; ++col) {
@@ -195,7 +203,7 @@ class BlockLU {
   }
 
   /// Boolean convenience wrapper around factor_status.
-  bool factor(const BlockMat<N>& m, real_t tiny = 1e-300) {
+  bool factor(const BlockMat<N>& m, real_t tiny = kTinyPivot) {
     return factor_status(m, tiny).ok;
   }
 

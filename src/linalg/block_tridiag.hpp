@@ -7,6 +7,8 @@
 // why partitioning must never split a line across processors.
 #pragma once
 
+#include <cmath>
+#include <span>
 #include <vector>
 
 #include "linalg/block.hpp"
@@ -82,25 +84,29 @@ bool solve_block_tridiag(std::vector<BlockMat<N>>& lower,
   return solve_block_tridiag_status<N>(lower, diag, upper, rhs, lu).ok();
 }
 
-/// Scalar tridiagonal convenience overload (used in tests and the 1-equation
-/// turbulence line sweep).
-inline bool solve_tridiag(std::vector<real_t>& lower, std::vector<real_t>& diag,
-                          std::vector<real_t>& upper, std::vector<real_t>& rhs) {
+/// Scalar tridiagonal solve (NSU3D's SA line), in place in `rhs`, with the
+/// elimination order of solve_block_tridiag_status at N = 1: m = u/d,
+/// d -= l m, r = rhs/d. A block system whose last row and column couple to
+/// nothing else therefore solves bit for bit as the block system without
+/// them plus this scalar one. Returns false when a pivot falls below
+/// kTinyPivot; `rhs` is then undefined.
+inline bool solve_tridiag(std::span<const real_t> lower, std::span<real_t> diag,
+                          std::span<const real_t> upper,
+                          std::span<real_t> rhs) {
   const std::size_t n = diag.size();
   COLUMBIA_REQUIRE(lower.size() == n && upper.size() == n && rhs.size() == n);
   if (n == 0) return true;
+  if (std::abs(diag[0]) < kTinyPivot) return false;
   for (std::size_t i = 1; i < n; ++i) {
-    if (diag[i - 1] == 0.0) return false;
-    const real_t f = lower[i] / diag[i - 1];
-    diag[i] -= f * upper[i - 1];
-    rhs[i] -= f * rhs[i - 1];
+    const real_t m = upper[i - 1] / diag[i - 1];
+    diag[i] -= lower[i] * m;
+    const real_t r = rhs[i - 1] / diag[i - 1];
+    rhs[i] -= lower[i] * r;
+    if (std::abs(diag[i]) < kTinyPivot) return false;
   }
-  if (diag[n - 1] == 0.0) return false;
   rhs[n - 1] /= diag[n - 1];
-  for (std::size_t i = n - 1; i-- > 0;) {
-    if (diag[i] == 0.0) return false;
+  for (std::size_t i = n - 1; i-- > 0;)
     rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i];
-  }
   return true;
 }
 

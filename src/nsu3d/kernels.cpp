@@ -18,6 +18,7 @@ using geom::Vec3;
 using linalg::BlockLU;
 using linalg::BlockMat;
 using linalg::BlockVec;
+using linalg::kTinyPivot;
 
 namespace {
 
@@ -660,20 +661,26 @@ void residual(const Level& lvl, const Physics& phys, int level,
   });
 }
 
-void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s) {
+void smoother_blocks(const Level& lvl, const Physics& phys, real_t cfl,
+                     std::span<const State> u, Scratch& s) {
   const std::size_t n = std::size_t(lvl.num_nodes);
-  s.wave.assign(n, 0.0);
+  s.sums.resize(n * kSumStride);
   s.snd.resize(n);
+  s.diag.resize(n);
+  s.diag_sa.resize(n);
   const Prim* const w = s.w.data();
   const real_t* const mut = s.mut.data();
-  real_t* const wave = s.wave.data();
+  real_t* const sums = s.sums.data();
   real_t* const snd = s.snd.data();
   const real_t mu_lam = phys.mu_lam;
   const bool viscous = phys.viscous;
 
   // Per-node sound speed, cached: the scalar path recomputed sqrt(g p/rho)
   // for both endpoints of every edge.
-  for_nodes(n, [&](std::size_t i) { snd[i] = w[i].sound_speed(); });
+  for_nodes(n, [&](std::size_t i) {
+    snd[i] = w[i].sound_speed();
+    for (std::size_t c = 0; c < kSumStride; ++c) sums[i * kSumStride + c] = 0;
+  });
 
   const index_t* const ea = lvl.edge_a.data();
   const index_t* const eb = lvl.edge_b.data();
@@ -683,108 +690,110 @@ void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s) {
     const std::size_t b = std::size_t(eb[e]);
     const real_t area = lvl.edge_area[e];
     if (area <= 0) return;
+    real_t* const sa = sums + a * kSumStride;
+    real_t* const sb = sums + b * kSumStride;
     const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
-    if constexpr (A) wave[a] += (std::abs(dot(w[a].vel, nh)) + snd[a]) * area;
-    if constexpr (B) wave[b] += (std::abs(dot(w[b].vel, nh)) + snd[b]) * area;
-    if (viscous && lvl.edge_length[e] > 0) {
+    if constexpr (A) {
+      const real_t lam = (std::abs(dot(w[a].vel, nh)) + snd[a]) * area;
+      sa[0] += lam;
+      sa[1] += lam;
+    }
+    if constexpr (B) {
+      const real_t lam = (std::abs(dot(w[b].vel, nh)) + snd[b]) * area;
+      sb[0] += lam;
+      sb[1] += lam;
+    }
+    if (!viscous) return;
+    const real_t mu_edge = mu_lam + 0.5 * (mut[a] + mut[b]);
+    if (lvl.edge_length[e] > 0) {
       // (coef * area) / length — the association differs from coef *
       // edge_geo, so the per-edge division stays.
-      const real_t c =
-          (mu_lam + 0.5 * (mut[a] + mut[b])) * area / lvl.edge_length[e];
-      if constexpr (A) wave[a] += c / w[a].rho;
-      if constexpr (B) wave[b] += c / w[b].rho;
+      const real_t c = mu_edge * area / lvl.edge_length[e];
+      if constexpr (A) sa[0] += c / w[a].rho;
+      if constexpr (B) sb[0] += c / w[b].rho;
+    }
+    const real_t geo = lvl.edge_geo[e];
+    if (geo > 0) {
+      const real_t cm = mu_edge * geo;
+      const real_t cs = (mu_lam + 0.5 * (u[a][5] + u[b][5])) / kSigma * geo;
+      if constexpr (A) {
+        sa[2] += cm;
+        sa[3] += cs;
+      }
+      if constexpr (B) {
+        sb[2] += cm;
+        sb[3] += cs;
+      }
     }
   });
+
+  BlockMat<5>* const diag = s.diag.data();
+  real_t* const diag_sa = s.diag_sa.data();
   for_nodes(n, [&](std::size_t i) {
+    real_t* const si = sums + i * kSumStride;
     Vec3 bn{};
     for (const Vec3& t : lvl.boundary_normal[i]) bn += t;
     const real_t ba = norm(bn);
-    if (ba > 0) wave[i] += euler::spectral_radius(w[i], bn / ba) * ba;
-  });
-}
-
-void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
-                   std::span<const State> u, Scratch& s) {
-  const std::size_t n = std::size_t(lvl.num_nodes);
-  s.diag.resize(n);
-  const Prim* const w = s.w.data();
-  const real_t* const mut = s.mut.data();
-  const real_t* const wave = s.wave.data();
-  const real_t* const snd = s.snd.data();
-  BlockMat<6>* const diag = s.diag.data();
-  const real_t mu_lam = phys.mu_lam;
-  const bool viscous = phys.viscous;
-
-  for_nodes(n, [&](std::size_t i) {
-    const real_t dt =
-        wave[i] > 0 ? cfl * lvl.node_volume[i] / wave[i] : 1e30;
-    diag[i] = BlockMat<6>::diagonal(lvl.node_volume[i] / dt);
-  });
-  const index_t* const ea = lvl.edge_a.data();
-  const index_t* const eb = lvl.edge_b.data();
-  // dR_a/du_a += 0.5 (A(w_a, +n) + lambda I); likewise for b with -n.
-  // Each side's block depends only on its own endpoint, so a task owning
-  // one side of an edge evaluates only that side's Jacobian.
-  const auto add_side = [&](std::size_t i, const Vec3& nrm, real_t lam) {
-    const BlockMat<5> j = euler::flux_jacobian(w[i], nrm);
-    for (int rr = 0; rr < 5; ++rr)
-      for (int cc = 0; cc < 5; ++cc) diag[i](rr, cc) += 0.5 * j(rr, cc);
-    for (int rr = 0; rr < 5; ++rr) diag[i](rr, rr) += 0.5 * lam;
-    diag[i](5, 5) += 0.5 * lam;
-  };
-  for_edges_owned(lvl, s, [&](std::size_t e, auto own_a, auto own_b) {
-    constexpr bool A = decltype(own_a)::value, B = decltype(own_b)::value;
-    const std::size_t a = std::size_t(ea[e]);
-    const std::size_t b = std::size_t(eb[e]);
-    const real_t area = lvl.edge_area[e];
-    if (area <= 0) return;
-    const Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
-    if constexpr (A)
-      add_side(a, lvl.edge_normal[e],
-               (std::abs(dot(w[a].vel, nh)) + snd[a]) * area);
-    if constexpr (B)
-      add_side(b, -1.0 * lvl.edge_normal[e],
-               (std::abs(dot(w[b].vel, nh)) + snd[b]) * area);
-    if (viscous && lvl.edge_geo[e] > 0) {
-      const real_t geo = lvl.edge_geo[e];
-      const real_t cm = (mu_lam + 0.5 * (mut[a] + mut[b])) * geo;
-      const real_t cs =
-          (mu_lam + 0.5 * (u[a][5] + u[b][5])) / kSigma * geo;
-      const auto add_visc = [&](std::size_t i) {
-        for (int rr = 1; rr <= 4; ++rr) diag[i](rr, rr) += cm;
-        diag[i](5, 5) += cs;
-      };
-      if constexpr (A) add_visc(a);
-      if constexpr (B) add_visc(b);
-    }
-  });
-  // Farfield linearization keeps boundary nodes well conditioned.
-  for_nodes(n, [&](std::size_t i) {
-    Vec3 bn{};
-    for (const Vec3& t : lvl.boundary_normal[i]) bn += t;
-    const real_t ba = norm(bn);
+    real_t lam = si[1];
     if (ba > 0) {
-      const real_t lam = euler::spectral_radius(w[i], bn / ba) * ba;
-      for (int rr = 0; rr < 6; ++rr) diag[i](rr, rr) += 0.5 * lam;
+      // Farfield linearization keeps boundary nodes well conditioned.
+      const real_t lb = euler::spectral_radius(w[i], bn / ba) * ba;
+      si[0] += lb;
+      lam += lb;
+    }
+    const real_t vol = lvl.node_volume[i];
+    const real_t dt = si[0] > 0 ? cfl * vol / si[0] : 1e30;
+    const real_t d = vol / dt + 0.5 * lam;
+    BlockMat<5>& di = diag[i];
+    di = BlockMat<5>::diagonal(d);
+    for (int rr = 1; rr <= 4; ++rr) di(rr, rr) += si[2];
+    diag_sa[i] = d + si[3];
+    if (ba > 0) {
+      // Sum over the node's edges of A(w_i, n_e) / 2, n_e pointing out of
+      // node i: by the closed dual it is A(w_i, -bn) / 2.
+      const BlockMat<5> j = euler::flux_jacobian(w[i], -1.0 * bn);
+      for (std::size_t k = 0; k < j.a.size(); ++k) di.a[k] += 0.5 * j.a[k];
     }
   });
 }
 
 namespace {
 
-BlockVec<6> rhs_of(std::span<const State> f, std::span<const State> r,
+BlockVec<5> rhs_of(std::span<const State> f, std::span<const State> r,
                    std::size_t i) {
-  BlockVec<6> rhs;
-  for (int c = 0; c < 6; ++c) rhs[c] = f[i][std::size_t(c)] - r[i][std::size_t(c)];
+  BlockVec<5> rhs;
+  for (std::size_t c = 0; c < 5; ++c) rhs[int(c)] = f[i][c] - r[i][c];
   return rhs;
 }
 
 void apply_update(std::vector<State>& u, std::size_t i, real_t relax,
-                  const BlockVec<6>& du) {
+                  const BlockVec<5>& du, real_t du_sa) {
   State unew = u[i];
-  for (int c = 0; c < 6; ++c) unew[std::size_t(c)] += relax * du[c];
+  for (int c = 0; c < 5; ++c) unew[std::size_t(c)] += relax * du[c];
+  unew[5] += relax * du_sa;
   unew[5] = std::max<real_t>(unew[5], 0);
   if (state_valid(unew)) u[i] = unew;
+}
+
+/// Sizes every pool thread's line scratch for the level's longest line
+/// (first call per pool width), so steady-state sweeps allocate nothing.
+void reserve_line_scratch(const graph::LineSet& lines, int threads,
+                          std::vector<Scratch::LineScratch>& scratch) {
+  if (scratch.size() >= std::size_t(threads)) return;
+  scratch.resize(std::size_t(threads));
+  std::size_t longest = 0;
+  for (const auto& line : lines.lines) longest = std::max(longest, line.size());
+  for (Scratch::LineScratch& ls : scratch) {
+    ls.lower.reserve(longest);
+    ls.dd.reserve(longest);
+    ls.upper.reserve(longest);
+    ls.rhs.reserve(longest);
+    ls.lu.reserve(longest);
+    ls.sa_lower.reserve(longest);
+    ls.sa_dd.reserve(longest);
+    ls.sa_upper.reserve(longest);
+    ls.sa_rhs.reserve(longest);
+  }
 }
 
 }  // namespace
@@ -792,43 +801,36 @@ void apply_update(std::vector<State>& u, std::size_t i, real_t relax,
 void point_sweep(const Level& lvl, real_t relax, std::span<const State> f,
                  std::span<const State> r, Scratch& s, std::vector<State>& u) {
   const std::size_t n = std::size_t(lvl.num_nodes);
-  const BlockMat<6>* const diag = s.diag.data();
+  const BlockMat<5>* const diag = s.diag.data();
+  const real_t* const diag_sa = s.diag_sa.data();
   for_nodes(n, [&](std::size_t i) {
-    BlockLU<6> lu;
-    if (!lu.factor_status(diag[i])) {
+    BlockLU<5> lu;
+    if (!lu.factor_status(diag[i]) || std::abs(diag_sa[i]) < kTinyPivot) {
       // Singular point: skip the update (explicit fallback) but make
       // the event visible instead of silently dropping it.
       OBS_COUNT("resil.singular_pivot", 1);
       return;
     }
-    apply_update(u, i, relax, lu.solve(rhs_of(f, r, i)));
+    apply_update(u, i, relax, lu.solve(rhs_of(f, r, i)),
+                 (f[i][5] - r[i][5]) / diag_sa[i]);
   });
 }
 
 void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
                 std::span<const State> f, std::span<const State> r,
                 Scratch& s, std::vector<State>& u) {
-  // Block-tridiagonal solve along each implicit line; off-line couplings
-  // stay explicit (Jacobi) as in the paper's scheme. Lines are
-  // node-disjoint, so they solve in parallel; each pool thread uses its
-  // own factorization scratch.
+  // Tridiagonal solves along each implicit line: 5x5 blocks for the mean
+  // flow, scalars for the SA variable. Off-line couplings stay explicit
+  // (Jacobi) as in the paper's scheme. Lines are node-disjoint, so they
+  // solve in parallel; each pool thread uses its own scratch.
   smp::ThreadPool& pool = smp::ThreadPool::global();
   const auto& all_lines = lvl.lines.lines;
-  if (s.line_scratch.size() < std::size_t(pool.num_threads())) {
-    s.line_scratch.resize(std::size_t(pool.num_threads()));
-    std::size_t longest = 0;
-    for (const auto& line : all_lines) longest = std::max(longest, line.size());
-    for (Scratch::LineScratch& ls : s.line_scratch) {
-      ls.lower.reserve(longest);
-      ls.dd.reserve(longest);
-      ls.upper.reserve(longest);
-      ls.rhs.reserve(longest);
-      ls.lu.reserve(longest);
-    }
-  }
+  reserve_line_scratch(lvl.lines, pool.num_threads(), s.line_scratch);
   const Prim* const w = s.w.data();
   const real_t* const mut = s.mut.data();
-  const BlockMat<6>* const diag = s.diag.data();
+  const real_t* const snd = s.snd.data();
+  const BlockMat<5>* const diag = s.diag.data();
+  const real_t* const diag_sa = s.diag_sa.data();
   const real_t mu_lam = phys.mu_lam;
   const bool viscous = phys.viscous;
   OBS_COUNT("nsu3d.line_solves", all_lines.size());
@@ -839,21 +841,34 @@ void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
       const auto& line = all_lines[li];
       const auto& ledges = lvl.line_edges[li];
       const std::size_t len = line.size();
-      ls.lower.assign(len, BlockMat<6>{});
-      ls.dd.assign(len, BlockMat<6>{});
-      ls.upper.assign(len, BlockMat<6>{});
-      ls.rhs.assign(len, BlockVec<6>{});
-      auto& lower = ls.lower;
-      auto& dd = ls.dd;
-      auto& upper = ls.upper;
-      auto& rhs = ls.rhs;
+      ls.lower.assign(len, BlockMat<5>{});
+      ls.dd.resize(len);
+      ls.upper.assign(len, BlockMat<5>{});
+      ls.rhs.resize(len);
+      ls.sa_lower.assign(len, 0.0);
+      ls.sa_dd.resize(len);
+      ls.sa_upper.assign(len, 0.0);
+      ls.sa_rhs.resize(len);
       for (std::size_t k = 0; k < len; ++k) {
         const std::size_t i = std::size_t(line[k]);
-        dd[k] = diag[i];
-        rhs[k] = rhs_of(f, r, i);
+        ls.dd[k] = diag[i];
+        ls.rhs[k] = rhs_of(f, r, i);
+        ls.sa_dd[k] = diag_sa[i];
+        ls.sa_rhs[k] = f[i][5] - r[i][5];
       }
       // Off-diagonal blocks for consecutive line nodes; the connecting
       // edge was located once at level construction (Level::line_edges).
+      // dR_i/du_j = 0.5 (A(w_j, n_out) - lambda_j I), and dR_j/du_i
+      // mirrored with w_i and the opposite normal; the viscous terms
+      // subtract cm on rows 1-4 and cs on the SA entry.
+      const auto off_block = [](BlockMat<5>& m, const BlockMat<5>& jac,
+                                real_t lam, real_t cm) {
+        for (int rr = 0; rr < 5; ++rr) {
+          for (int cc = 0; cc < 5; ++cc) m(rr, cc) = 0.5 * jac(rr, cc);
+          m(rr, rr) -= 0.5 * lam;
+        }
+        for (int rr = 1; rr <= 4; ++rr) m(rr, rr) -= cm;
+      };
       for (std::size_t k = 0; k + 1 < len; ++k) {
         const auto [eid, sgn] = ledges[k];
         if (eid == kInvalidIndex) continue;
@@ -863,49 +878,32 @@ void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
         const std::size_t i = std::size_t(line[k]);
         const std::size_t j = std::size_t(line[k + 1]);
         const Vec3 n_out = sgn * lvl.edge_normal[ei];
-        // n_out/area == sgn * edge_unit bitwise (sgn is +-1).
+        // n_out/area == sgn * edge_unit bitwise (sgn is +-1); snd holds
+        // sound_speed(), so these are spectral_radius(w, nh) * area.
         const Vec3 nh = sgn * lvl.edge_unit[ei];
-        // dR_i/du_j = 0.5 (A(w_j, n_out) - lambda_j I).
-        const BlockMat<5> jj = euler::flux_jacobian(w[j], n_out);
-        const real_t lam = euler::spectral_radius(w[j], nh) * area;
-        BlockMat<6> off;
-        for (int rr = 0; rr < 5; ++rr) {
-          for (int cc = 0; cc < 5; ++cc) off(rr, cc) = 0.5 * jj(rr, cc);
-          off(rr, rr) -= 0.5 * lam;
-        }
-        off(5, 5) -= 0.5 * lam;
+        const real_t lam_j = (std::abs(dot(w[j].vel, nh)) + snd[j]) * area;
+        const real_t lam_i = (std::abs(dot(w[i].vel, nh)) + snd[i]) * area;
         real_t cm = 0, cs = 0;
-        const bool visc_edge = viscous && lvl.edge_geo[ei] > 0;
-        if (visc_edge) {
+        if (viscous && lvl.edge_geo[ei] > 0) {
           const real_t geo = lvl.edge_geo[ei];
           cm = (mu_lam + 0.5 * (mut[i] + mut[j])) * geo;
           cs = (mu_lam + 0.5 * (u[i][5] + u[j][5])) / kSigma * geo;
-          for (int rr = 1; rr <= 4; ++rr) off(rr, rr) -= cm;
-          off(5, 5) -= cs;
         }
-        upper[k] = off;
-        // dR_j/du_i: mirrored with w_i and the opposite normal.
-        const BlockMat<5> ji = euler::flux_jacobian(w[i], -1.0 * n_out);
-        const real_t lam_i = euler::spectral_radius(w[i], nh) * area;
-        BlockMat<6> offl;
-        for (int rr = 0; rr < 5; ++rr) {
-          for (int cc = 0; cc < 5; ++cc) offl(rr, cc) = 0.5 * ji(rr, cc);
-          offl(rr, rr) -= 0.5 * lam_i;
-        }
-        offl(5, 5) -= 0.5 * lam_i;
-        if (visc_edge) {
-          for (int rr = 1; rr <= 4; ++rr) offl(rr, rr) -= cm;
-          offl(5, 5) -= cs;
-        }
-        lower[k + 1] = offl;
+        off_block(ls.upper[k], euler::flux_jacobian(w[j], n_out), lam_j, cm);
+        off_block(ls.lower[k + 1], euler::flux_jacobian(w[i], -1.0 * n_out),
+                  lam_i, cm);
+        ls.sa_upper[k] = -0.5 * lam_j - cs;
+        ls.sa_lower[k + 1] = -0.5 * lam_i - cs;
       }
-      if (!linalg::solve_block_tridiag_status<6>(lower, dd, upper, rhs,
-                                                 ls.lu)) {
+      if (!linalg::solve_block_tridiag_status<5>(ls.lower, ls.dd, ls.upper,
+                                                 ls.rhs, ls.lu) ||
+          !linalg::solve_tridiag(ls.sa_lower, ls.sa_dd, ls.sa_upper,
+                                 ls.sa_rhs)) {
         OBS_COUNT("resil.singular_pivot", 1);
         continue;
       }
       for (std::size_t k = 0; k < len; ++k)
-        apply_update(u, std::size_t(line[k]), relax, rhs[k]);
+        apply_update(u, std::size_t(line[k]), relax, ls.rhs[k], ls.sa_rhs[k]);
     }
   });
 }

@@ -30,7 +30,9 @@
 // the thread pool's fixed chunking; edge sweeps give every node one owner
 // task that adds its edge contributions in ascending edge order, exactly
 // as the serial loop does. Results are therefore bitwise identical for
-// every thread count and to the pre-SoA implementation.
+// every thread count and to the pre-SoA implementation. The smoother
+// kernels have no scalar reference; the same owner rule makes them
+// bitwise identical for every thread count.
 #pragma once
 
 #include <array>
@@ -63,6 +65,7 @@ inline constexpr std::size_t kPrimStride = 8;   // [rho,u,v,w,p,nut,mut,p/rho]
 inline constexpr std::size_t kGradStride = 32;  // [gx 6][gy 6][gz 6][min 6][max 6][pad 2]
 inline constexpr std::size_t kPhiStride = 8;    // [phi 6][pad 2]
 inline constexpr std::size_t kEdqStride = 12;   // [g.d side a 6][g.(-d) side b 6]
+inline constexpr std::size_t kSumStride = 4;    // [wave, lam, cm, cs]
 
 // Spalart-Allmaras closure constants (Spalart & Allmaras 1994; the paper's
 // reference [8]). Shared by the kernels and the scalar reference.
@@ -134,13 +137,18 @@ struct Scratch {
   // both edge sides, reused bitwise by the flux reconstruction.
   std::vector<real_t> edq;
 
-  // Smoother scratch: wave-speed sums, cached sound speeds, 6x6 blocks.
-  std::vector<real_t> wave, snd;
-  std::vector<linalg::BlockMat<6>> diag;
+  // Smoother scratch (smoother_blocks): per-node edge sums [wave, lam,
+  // cm, cs] at stride kSumStride, cached sound speeds, and the diagonal
+  // blocks split as 5x5 mean-flow block + scalar SA entry (the SA row and
+  // column couple to nothing else, so the 6x6 block is their direct sum).
+  std::vector<real_t> sums, snd;
+  std::vector<linalg::BlockMat<5>> diag;
+  std::vector<real_t> diag_sa;
   struct LineScratch {
-    std::vector<linalg::BlockMat<6>> lower, dd, upper;
-    std::vector<linalg::BlockVec<6>> rhs;
-    std::vector<linalg::BlockLU<6>> lu;
+    std::vector<linalg::BlockMat<5>> lower, dd, upper;
+    std::vector<linalg::BlockVec<5>> rhs;
+    std::vector<linalg::BlockLU<5>> lu;
+    std::vector<real_t> sa_lower, sa_dd, sa_upper, sa_rhs;
   };
   /// One slot per pool thread, each reserved for the level's longest line
   /// so a steady-state sweep allocates nothing whichever thread takes
@@ -204,25 +212,34 @@ void residual(const Level& lvl, const Physics& phys, int level,
 
 // --- Smoother kernels ---
 
-/// Wave-speed sums (local time-step denominators) into s.wave; also caches
-/// per-node sound speeds in s.snd.
-void wave_speeds(const Level& lvl, const Physics& phys, Scratch& s);
+/// Smoother diagonal blocks into s.diag / s.diag_sa, plus the local
+/// time-step denominators (wave-speed sums, s.sums[i * kSumStride]) and
+/// the cached sound speeds s.snd. One owner-writes edge sweep sums, per
+/// node, the wave speeds, the inviscid spectral radii lam and the viscous
+/// coefficients cm (momentum/energy rows) and cs (SA row); a node pass
+/// adds the boundary spectral radius and forms
+///   D = vol/dt + lam/2 (+ cm on rows 1-4, + cs on the SA entry)
+///       + A(w, -sum of boundary normals)/2.
+/// The last term is the sum of the per-edge flux Jacobians A(w, n_e)/2:
+/// A is linear in n and the median dual closes, so the edge normals of a
+/// node sum to minus its boundary normals — zero at interior nodes.
+/// Requires prim_cache to have run for the state `u`.
+void smoother_blocks(const Level& lvl, const Physics& phys, real_t cfl,
+                     std::span<const State> u, Scratch& s);
 
-/// Assembles the 6x6 point-implicit diagonal blocks into s.diag.
-/// Requires prim_cache and wave_speeds to have run for the same state.
-void assemble_diag(const Level& lvl, const Physics& phys, real_t cfl,
-                   std::span<const State> u, Scratch& s);
-
-/// Point-implicit update sweep: factors each diagonal block and applies
-/// the under-relaxed update to u. Singular pivots keep their previous
-/// state and are counted on the "resil.singular_pivot" observable.
+/// Point-implicit update sweep: factors each 5x5 diagonal block, divides
+/// by the SA entry, and applies the under-relaxed update to u. Singular
+/// pivots keep their previous state and are counted on the
+/// "resil.singular_pivot" observable.
 void point_sweep(const Level& lvl, real_t relax, std::span<const State> f,
                  std::span<const State> r, Scratch& s, std::vector<State>& u);
 
-/// Line-implicit update sweep: block-tridiagonal solve along each implicit
-/// line (off-line couplings stay explicit). Lines are node-disjoint, so
-/// reading u for the viscous linearization while other lines update theirs
-/// is race-free.
+/// Line-implicit update sweep: along each implicit line, a 5x5
+/// block-tridiagonal solve for the mean flow and a scalar tridiagonal solve
+/// for the SA variable (off-line couplings stay explicit). A singular
+/// pivot in either skips the line and counts "resil.singular_pivot".
+/// Lines are node-disjoint, so reading u for the viscous linearization
+/// while other lines update theirs is race-free.
 void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
                 std::span<const State> f, std::span<const State> r,
                 Scratch& s, std::vector<State>& u);

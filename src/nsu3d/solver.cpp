@@ -5,9 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "euler/jacobian.hpp"
-#include "linalg/block.hpp"
-#include "linalg/block_tridiag.hpp"
 #include "obs/obs.hpp"
 #include "resil/faults.hpp"
 #include "smp/pool.hpp"
@@ -18,9 +15,6 @@ namespace columbia::nsu3d {
 
 using euler::Prim;
 using geom::Vec3;
-using linalg::BlockLU;
-using linalg::BlockMat;
-using linalg::BlockVec;
 
 using kernels::mean_prim;
 using kernels::state_valid;
@@ -145,12 +139,17 @@ void Nsu3dSolver::smooth(int l, int steps) {
     // restriction just computed from this same state.
     const std::vector<State>& r = level_residual(l);
     // The primitive/SoA caches in ws.k belong to that residual's state.
-    kernels::wave_speeds(lvl, phys_, ws.k);
-    kernels::assemble_diag(lvl, phys_, opt_.cfl, u, ws.k);
-    if (!lines)
-      kernels::point_sweep(lvl, opt_.relax, f, r, ws.k, u);
-    else
-      kernels::line_sweep(lvl, phys_, opt_.relax, f, r, ws.k, u);
+    {
+      OBS_SPAN("nsu3d.smooth.blocks", "level", l);
+      kernels::smoother_blocks(lvl, phys_, opt_.cfl, u, ws.k);
+    }
+    {
+      OBS_SPAN("nsu3d.smooth.sweep", "level", l);
+      if (!lines)
+        kernels::point_sweep(lvl, opt_.relax, f, r, ws.k, u);
+      else
+        kernels::line_sweep(lvl, phys_, opt_.relax, f, r, ws.k, u);
+    }
     state_changed(l);
     apply_strong_bcs(l);
   }

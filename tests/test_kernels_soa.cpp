@@ -6,6 +6,7 @@
 // contract documented in nsu3d/kernels.hpp and cart3d/kernels.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <vector>
@@ -14,12 +15,14 @@
 #include "cart3d/partitioned.hpp"
 #include "cartesian/cart_mesh.hpp"
 #include "core/exchange_plan.hpp"
+#include "euler/jacobian.hpp"
 #include "geom/components.hpp"
 #include "linalg/block.hpp"
 #include "linalg/block_tridiag.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/kernels.hpp"
 #include "nsu3d/partitioned.hpp"
+#include "nsu3d/solver.hpp"
 #include "smp/pool.hpp"
 #include "support/random.hpp"
 
@@ -154,6 +157,258 @@ TEST(Nsu3dSoA, GradientLimiterBlocksMatchReferenceBitwise) {
         EXPECT_EQ(p[c], rs.phi[std::size_t(i)][sc]) << i << "/" << c;
       }
     }
+  }
+}
+
+/// Test-only oracle for smoother_blocks: the per-edge assembly it replaced.
+/// Wave-speed sums (with the boundary spectral radius) and dense 6x6
+/// diagonal blocks summing A(w_i, n_e)/2 + lam_e/2 over every edge side,
+/// serial, in edge order.
+void smoother_blocks_oracle(const nsu3d::Level& lvl,
+                            const nsu3d::kernels::Physics& phys, real_t cfl,
+                            const std::vector<nsu3d::State>& u,
+                            const nsu3d::kernels::Scratch& s,
+                            std::vector<real_t>& wave,
+                            std::vector<linalg::BlockMat<6>>& diag) {
+  const std::size_t n = std::size_t(lvl.num_nodes);
+  const auto& w = s.w;
+  const auto& mut = s.mut;
+  std::vector<real_t> snd(n);
+  for (std::size_t i = 0; i < n; ++i) snd[i] = w[i].sound_speed();
+  wave.assign(n, 0.0);
+  for (std::size_t e = 0; e < lvl.edges.size(); ++e) {
+    const std::size_t a = std::size_t(lvl.edge_a[e]);
+    const std::size_t b = std::size_t(lvl.edge_b[e]);
+    const real_t area = lvl.edge_area[e];
+    if (area <= 0) continue;
+    const geom::Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
+    wave[a] += (std::abs(dot(w[a].vel, nh)) + snd[a]) * area;
+    wave[b] += (std::abs(dot(w[b].vel, nh)) + snd[b]) * area;
+    if (phys.viscous && lvl.edge_length[e] > 0) {
+      const real_t c = (phys.mu_lam + 0.5 * (mut[a] + mut[b])) * area /
+                       lvl.edge_length[e];
+      wave[a] += c / w[a].rho;
+      wave[b] += c / w[b].rho;
+    }
+  }
+  std::vector<real_t> lam_b(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    geom::Vec3 bn{};
+    for (const geom::Vec3& t : lvl.boundary_normal[i]) bn += t;
+    const real_t ba = norm(bn);
+    if (ba > 0) lam_b[i] = euler::spectral_radius(w[i], bn / ba) * ba;
+    wave[i] += lam_b[i];
+  }
+
+  diag.assign(n, linalg::BlockMat<6>{});
+  for (std::size_t i = 0; i < n; ++i) {
+    const real_t vol = lvl.node_volume[i];
+    const real_t dt = wave[i] > 0 ? cfl * vol / wave[i] : 1e30;
+    diag[i] = linalg::BlockMat<6>::diagonal(vol / dt);
+  }
+  const auto add_side = [&](std::size_t i, const geom::Vec3& nrm, real_t lam) {
+    const linalg::BlockMat<5> j = euler::flux_jacobian(w[i], nrm);
+    for (int rr = 0; rr < 5; ++rr)
+      for (int cc = 0; cc < 5; ++cc) diag[i](rr, cc) += 0.5 * j(rr, cc);
+    for (int rr = 0; rr < 6; ++rr) diag[i](rr, rr) += 0.5 * lam;
+  };
+  for (std::size_t e = 0; e < lvl.edges.size(); ++e) {
+    const std::size_t a = std::size_t(lvl.edge_a[e]);
+    const std::size_t b = std::size_t(lvl.edge_b[e]);
+    const real_t area = lvl.edge_area[e];
+    if (area <= 0) continue;
+    const geom::Vec3 nh{lvl.edge_ux[e], lvl.edge_uy[e], lvl.edge_uz[e]};
+    add_side(a, lvl.edge_normal[e],
+             (std::abs(dot(w[a].vel, nh)) + snd[a]) * area);
+    add_side(b, -1.0 * lvl.edge_normal[e],
+             (std::abs(dot(w[b].vel, nh)) + snd[b]) * area);
+    if (phys.viscous && lvl.edge_geo[e] > 0) {
+      const real_t geo = lvl.edge_geo[e];
+      const real_t cm = (phys.mu_lam + 0.5 * (mut[a] + mut[b])) * geo;
+      const real_t cs = (phys.mu_lam + 0.5 * (u[a][5] + u[b][5])) /
+                        nsu3d::kernels::kSigma * geo;
+      for (const std::size_t i : {a, b}) {
+        for (int rr = 1; rr <= 4; ++rr) diag[i](rr, rr) += cm;
+        diag[i](5, 5) += cs;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    for (int rr = 0; rr < 6; ++rr) diag[i](rr, rr) += 0.5 * lam_b[i];
+}
+
+TEST(Nsu3dSmoother, FusedBlocksMatchPerEdgeJacobianSum) {
+  // smoother_blocks replaces the per-edge Jacobian sum by A(w, -sum of
+  // boundary normals): equal up to the closure round-off of the dual. The
+  // wave-speed sums keep the per-edge arithmetic and order, so they match
+  // bit for bit; the oracle's SA row and column must be exactly decoupled.
+  PoolGuard guard;
+  const auto m = small_wing();
+  nsu3d::LevelOptions lo;
+  lo.num_levels = 3;
+  const auto levels = nsu3d::build_levels(m, lo);
+  ASSERT_EQ(levels.size(), 3u);
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  fc.reynolds = 3e6;
+  const auto phys = wing_physics(fc);
+  const real_t cfl = nsu3d::Nsu3dOptions{}.cfl;
+  using nsu3d::kernels::kSumStride;
+
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    const nsu3d::Level& lvl = levels[l];
+    const auto u = wing_state(lvl, phys);
+    smp::set_global_threads(1);
+    nsu3d::kernels::Scratch os;
+    std::vector<nsu3d::State> res;
+    nsu3d::kernels::residual(lvl, phys, int(l), u, true, os, res);
+    std::vector<real_t> wave;
+    std::vector<linalg::BlockMat<6>> diag;
+    smoother_blocks_oracle(lvl, phys, cfl, u, os, wave, diag);
+
+    for (int threads : {1, 4}) {
+      smp::set_global_threads(threads);
+      nsu3d::kernels::Scratch s;
+      nsu3d::kernels::residual(lvl, phys, int(l), u, true, s, res);
+      nsu3d::kernels::smoother_blocks(lvl, phys, cfl, u, s);
+      int boundary_nodes = 0;
+      for (std::size_t i = 0; i < std::size_t(lvl.num_nodes); ++i) {
+        ASSERT_EQ(s.sums[i * kSumStride], wave[i])
+            << "level " << l << " t=" << threads << " node " << i;
+        const linalg::BlockMat<6>& o = diag[i];
+        for (int k = 0; k < 5; ++k) {
+          EXPECT_EQ(o(5, k), 0.0) << "level " << l << " node " << i;
+          EXPECT_EQ(o(k, 5), 0.0) << "level " << l << " node " << i;
+        }
+        const real_t tol = 1e-10 * o.max_abs();
+        for (int rr = 0; rr < 5; ++rr)
+          for (int cc = 0; cc < 5; ++cc)
+            EXPECT_NEAR(s.diag[i](rr, cc), o(rr, cc), tol)
+                << "level " << l << " t=" << threads << " node " << i
+                << " entry " << rr << "," << cc;
+        EXPECT_NEAR(s.diag_sa[i], o(5, 5), tol)
+            << "level " << l << " t=" << threads << " node " << i;
+        geom::Vec3 bn{};
+        for (const geom::Vec3& t : lvl.boundary_normal[i]) bn += t;
+        boundary_nodes += norm(bn) > 0;
+      }
+      EXPECT_GT(boundary_nodes, 0) << "level " << l;
+    }
+  }
+}
+
+/// Test-only oracle for line_sweep: the dense 6x6 block-tridiagonal line
+/// solve it replaced, serial, on the diagonal blocks smoother_blocks built
+/// (re-embedded as 6x6).
+void line_sweep_oracle(const nsu3d::Level& lvl,
+                       const nsu3d::kernels::Physics& phys, real_t relax,
+                       const std::vector<nsu3d::State>& f,
+                       const std::vector<nsu3d::State>& r,
+                       const nsu3d::kernels::Scratch& s,
+                       std::vector<nsu3d::State>& u) {
+  using linalg::BlockMat;
+  using linalg::BlockVec;
+  const auto& w = s.w;
+  const auto& mut = s.mut;
+  for (std::size_t li = 0; li < lvl.lines.lines.size(); ++li) {
+    const auto& line = lvl.lines.lines[li];
+    const std::size_t len = line.size();
+    std::vector<BlockMat<6>> lower(len), dd(len), upper(len);
+    std::vector<BlockVec<6>> rhs(len);
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::size_t i = std::size_t(line[k]);
+      for (int rr = 0; rr < 5; ++rr)
+        for (int cc = 0; cc < 5; ++cc) dd[k](rr, cc) = s.diag[i](rr, cc);
+      dd[k](5, 5) = s.diag_sa[i];
+      for (int c = 0; c < 6; ++c)
+        rhs[k][c] = f[i][std::size_t(c)] - r[i][std::size_t(c)];
+    }
+    for (std::size_t k = 0; k + 1 < len; ++k) {
+      const auto [eid, sgn] = lvl.line_edges[li][k];
+      if (eid == kInvalidIndex) continue;
+      const std::size_t ei = std::size_t(eid);
+      const real_t area = lvl.edge_area[ei];
+      if (area <= 0) continue;
+      const std::size_t i = std::size_t(line[k]);
+      const std::size_t j = std::size_t(line[k + 1]);
+      const geom::Vec3 n_out = sgn * lvl.edge_normal[ei];
+      const geom::Vec3 nh = sgn * lvl.edge_unit[ei];
+      real_t cm = 0, cs = 0;
+      const bool visc = phys.viscous && lvl.edge_geo[ei] > 0;
+      if (visc) {
+        const real_t geo = lvl.edge_geo[ei];
+        cm = (phys.mu_lam + 0.5 * (mut[i] + mut[j])) * geo;
+        cs = (phys.mu_lam + 0.5 * (u[i][5] + u[j][5])) /
+             nsu3d::kernels::kSigma * geo;
+      }
+      const auto off = [&](std::size_t node, const geom::Vec3& nrm) {
+        const BlockMat<5> jac = euler::flux_jacobian(w[node], nrm);
+        const real_t lam = euler::spectral_radius(w[node], nh) * area;
+        BlockMat<6> o;
+        for (int rr = 0; rr < 5; ++rr) {
+          for (int cc = 0; cc < 5; ++cc) o(rr, cc) = 0.5 * jac(rr, cc);
+          o(rr, rr) -= 0.5 * lam;
+        }
+        o(5, 5) -= 0.5 * lam;
+        if (visc) {
+          for (int rr = 1; rr <= 4; ++rr) o(rr, rr) -= cm;
+          o(5, 5) -= cs;
+        }
+        return o;
+      };
+      upper[k] = off(j, n_out);
+      lower[k + 1] = off(i, -1.0 * n_out);
+    }
+    if (!linalg::solve_block_tridiag<6>(lower, dd, upper, rhs)) continue;
+    for (std::size_t k = 0; k < len; ++k) {
+      nsu3d::State& ui = u[std::size_t(line[k])];
+      nsu3d::State unew = ui;
+      for (int c = 0; c < 6; ++c) unew[std::size_t(c)] += relax * rhs[k][c];
+      unew[5] = std::max<real_t>(unew[5], 0);
+      if (nsu3d::kernels::state_valid(unew)) ui = unew;
+    }
+  }
+}
+
+TEST(Nsu3dSmoother, LineSweepMatchesSixBySixLineSolveBitwise) {
+  // Given the same diagonal blocks, the 5x5 + scalar line solves must
+  // reproduce the dense 6x6 line solve bit for bit at every pool width:
+  // the SA row and column hold exact zeros off the diagonal.
+  PoolGuard guard;
+  const auto m = small_wing();
+  nsu3d::LevelOptions lo;
+  lo.num_levels = 1;
+  const auto levels = nsu3d::build_levels(m, lo);
+  const nsu3d::Level& lvl = levels[0];
+  ASSERT_GT(lvl.lines.longest(), 2);
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  fc.reynolds = 3e6;
+  const auto phys = wing_physics(fc);
+  const nsu3d::Nsu3dOptions opt;
+  const auto u0 = wing_state(lvl, phys);
+  std::vector<nsu3d::State> f(u0.size());
+  for (std::size_t i = 0; i < f.size(); ++i)
+    for (std::size_t c = 0; c < 6; ++c)
+      f[i][c] = 1e-3 * std::sin(real_t(7 * i + c));
+
+  for (int threads : {1, 3, 4}) {
+    smp::set_global_threads(threads);
+    nsu3d::kernels::Scratch s;
+    std::vector<nsu3d::State> r;
+    nsu3d::kernels::residual(lvl, phys, 0, u0, true, s, r);
+    nsu3d::kernels::smoother_blocks(lvl, phys, opt.cfl, u0, s);
+    std::vector<nsu3d::State> want = u0, got = u0;
+    line_sweep_oracle(lvl, phys, opt.relax, f, r, s, want);
+    nsu3d::kernels::line_sweep(lvl, phys, opt.relax, f, r, s, got);
+    std::size_t moved = 0;
+    for (std::size_t i = 0; i < u0.size(); ++i) {
+      moved += got[i] != u0[i];
+      for (std::size_t c = 0; c < 6; ++c)
+        ASSERT_EQ(got[i][c], want[i][c])
+            << "t=" << threads << " node " << i << " comp " << c;
+    }
+    EXPECT_GT(moved, u0.size() / 2) << "t=" << threads;
   }
 }
 
@@ -371,6 +626,75 @@ TEST(BlockSolvesSoA, TridiagMatchesNaiveFormulationBitwise) {
       for (int c = 0; c < 6; ++c)
         EXPECT_EQ(rhs[i][c], rhs2[i][c]) << "n=" << n << " row " << i;
   }
+}
+
+TEST(BlockSolvesSoA, DecoupledSaSplitMatchesSixBySixBitwise) {
+  // NSU3D's SA row and column couple to nothing else, so a 6x6 line solve
+  // equals a 5x5 block solve plus a scalar one, bit for bit — for the
+  // block-tridiagonal line solve and for the point solve alike.
+  Xoshiro256 rng(23);
+  const auto decouple = [](linalg::BlockMat<6>& m) {
+    for (int k = 0; k < 5; ++k) m(5, k) = m(k, 5) = 0;
+  };
+  const auto mean_block = [](const linalg::BlockMat<6>& m) {
+    linalg::BlockMat<5> b;
+    for (int rr = 0; rr < 5; ++rr)
+      for (int cc = 0; cc < 5; ++cc) b(rr, cc) = m(rr, cc);
+    return b;
+  };
+  // Many lines: a one-ulp change in the elimination order shows in only a
+  // few percent of the solved values.
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t n = std::size_t(1 + trial % 16);
+    std::vector<linalg::BlockMat<6>> lo(n), dg(n), up(n);
+    std::vector<linalg::BlockVec<6>> rhs(n);
+    std::vector<linalg::BlockMat<5>> lo5(n), dg5(n), up5(n);
+    std::vector<linalg::BlockVec<5>> rhs5(n);
+    std::vector<real_t> los(n), dgs(n), ups(n), rhss(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      lo[i] = random_mat<6>(rng, 0.0);
+      dg[i] = random_mat<6>(rng, 5.0);
+      up[i] = random_mat<6>(rng, 0.0);
+      rhs[i] = random_vec<6>(rng);
+      for (auto* m : {&lo[i], &dg[i], &up[i]}) decouple(*m);
+      lo5[i] = mean_block(lo[i]);
+      dg5[i] = mean_block(dg[i]);
+      up5[i] = mean_block(up[i]);
+      for (int c = 0; c < 5; ++c) rhs5[i][c] = rhs[i][c];
+      los[i] = lo[i](5, 5);
+      dgs[i] = dg[i](5, 5);
+      ups[i] = up[i](5, 5);
+      rhss[i] = rhs[i][5];
+    }
+
+    // Point solve of the first row's diagonal block.
+    linalg::BlockLU<6> lu6;
+    linalg::BlockLU<5> lu5;
+    ASSERT_TRUE(lu6.factor(dg[0]));
+    ASSERT_TRUE(lu5.factor(dg5[0]));
+    const auto x6 = lu6.solve(rhs[0]);
+    const auto x5 = lu5.solve(rhs5[0]);
+    for (int c = 0; c < 5; ++c) EXPECT_EQ(x5[c], x6[c]) << "n=" << n;
+    EXPECT_EQ(rhss[0] / dgs[0], x6[5]) << "n=" << n;
+
+    std::vector<linalg::BlockLU<5>> lu;
+    ASSERT_TRUE(linalg::solve_block_tridiag<6>(lo, dg, up, rhs));
+    ASSERT_TRUE(linalg::solve_block_tridiag_status<5>(lo5, dg5, up5, rhs5, lu));
+    ASSERT_TRUE(linalg::solve_tridiag(los, dgs, ups, rhss));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (int c = 0; c < 5; ++c)
+        EXPECT_EQ(rhs5[i][c], rhs[i][c]) << "n=" << n << " row " << i;
+      EXPECT_EQ(rhss[i], rhs[i][5]) << "n=" << n << " row " << i;
+    }
+  }
+}
+
+TEST(BlockSolvesSoA, ScalarTridiagReportsTinyPivot) {
+  // The scalar solve shares BlockLU's singularity threshold.
+  std::vector<real_t> lo{0, 1, 1}, dg{2, 0.5, 2}, up{1, 1, 0}, rhs{1, 1, 1};
+  EXPECT_FALSE(linalg::solve_tridiag(lo, dg, up, rhs));  // 0.5 - 1 * 0.5 = 0
+  std::vector<real_t> dg0{1e-301, 1, 1};
+  EXPECT_FALSE(linalg::solve_tridiag(lo, dg0, up, rhs));
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "mesh/builders.hpp"
+#include "nsu3d/kernels.hpp"
 #include "nsu3d/partitioned.hpp"
 #include "nsu3d/solver.hpp"
+#include "obs/obs.hpp"
 
 namespace columbia::nsu3d {
 namespace {
@@ -179,6 +181,86 @@ TEST(Nsu3d, ForcesFiniteAfterSolve) {
   const Forces f = s.integrate_forces();
   EXPECT_TRUE(std::isfinite(f.cl));
   EXPECT_TRUE(std::isfinite(f.cd));
+}
+
+/// Observed change of a counter across `fn` (0 when obs is compiled out).
+template <class Fn>
+std::uint64_t counted(const char* name, Fn&& fn) {
+  obs::set_enabled(true);
+  const std::uint64_t c0 = obs::counter(name).value();
+  fn();
+  const std::uint64_t c1 = obs::counter(name).value();
+  obs::set_enabled(false);
+  return c1 - c0;
+}
+
+TEST(Nsu3dSmoother, SingularSaPivotSkipsOnlyItsLineAndCounts) {
+  // The SA entry is solved apart from the 5x5 mean-flow block; a singular
+  // SA pivot must still skip the whole line (point) and be counted, as a
+  // singular 6x6 block was.
+  const auto m = small_wing();
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  fc.reynolds = 3e6;
+  Nsu3dOptions o;
+  o.mg_levels = 1;
+  Nsu3dSolver solver(m, fc, o);
+  solver.run_cycle();
+  solver.run_cycle();
+  const Level& lvl = solver.level(0);
+  const auto sol = solver.solution();
+  const std::vector<State> u(sol.begin(), sol.end());
+
+  kernels::Physics phys;
+  phys.freestream = fc.freestream();
+  phys.flux = o.flux;
+  phys.mu_lam = fc.mach / fc.reynolds;
+  phys.nut_inf = 3.0 * phys.mu_lam / phys.freestream.rho;
+  kernels::Scratch ks;
+  std::vector<State> r;
+  kernels::residual(lvl, phys, 0, u, true, ks, r);
+  kernels::smoother_blocks(lvl, phys, o.cfl, u, ks);
+  const std::vector<State> f(u.size(), State{});
+
+  const auto& lines = lvl.lines.lines;
+  std::size_t li = 0;
+  for (std::size_t k = 1; k < lines.size(); ++k)
+    if (lines[k].size() > lines[li].size()) li = k;
+  ASSERT_GT(lines[li].size(), 2u);
+  const index_t pivot_node = lines[li][0];
+
+  const auto sweep = [&](bool lines_mode, std::vector<State>& uu) {
+    uu = u;
+    return counted("resil.singular_pivot", [&] {
+      if (lines_mode)
+        kernels::line_sweep(lvl, phys, o.relax, f, r, ks, uu);
+      else
+        kernels::point_sweep(lvl, o.relax, f, r, ks, uu);
+    });
+  };
+  const real_t sa_pivot = ks.diag_sa[std::size_t(pivot_node)];
+  for (const bool lines_mode : {true, false}) {
+    std::vector<State> clean, singular;
+    const std::uint64_t c_clean = sweep(lines_mode, clean);
+    ks.diag_sa[std::size_t(pivot_node)] = 0.0;
+    const std::uint64_t c_sing = sweep(lines_mode, singular);
+    ks.diag_sa[std::size_t(pivot_node)] = sa_pivot;
+    if (obs::kCompiledIn) EXPECT_EQ(c_sing, c_clean + 1) << lines_mode;
+
+    std::vector<char> skipped(u.size(), 0);
+    if (lines_mode)
+      for (index_t v : lines[li]) skipped[std::size_t(v)] = 1;
+    else
+      skipped[std::size_t(pivot_node)] = 1;
+    for (std::size_t i = 0; i < u.size(); ++i) {
+      const State& want = skipped[i] ? u[i] : clean[i];
+      for (std::size_t c = 0; c < 6; ++c)
+        EXPECT_EQ(singular[i][c], want[c])
+            << "lines " << lines_mode << " node " << i << " comp " << c;
+    }
+    EXPECT_NE(clean[std::size_t(pivot_node)], u[std::size_t(pivot_node)])
+        << "the clean sweep must move the skipped node";
+  }
 }
 
 TEST(Partitioned, PlanCoversAllLevels) {
