@@ -1,13 +1,21 @@
 // Distributed guarded RANS solve over a pluggable transport (paper
 // Figs. 16-18: the same solve over different interconnects).
 //
-// Every group member runs the identical SPMD-replicated schedule: the full
-// wing solver plus one wire halo exchange per multigrid cycle, carrying the
-// live fine-grid densities over the chosen backend. The wire protocol
-// (checksummed frames, deadline timeouts, bounded retransmit) guarantees
-// delivered ghost values are bit-identical to the in-process exchange, so
-// the residual/CL/CD history written by --history must match byte for byte
-// across threads, shm, and tcp — with or without injected transport faults.
+// The fine level is owner-computes (paper Sec. III): level 0 is split into
+// line-respecting partitions, and each group member runs the fine
+// residual, the smoother blocks and the line sweeps on its own nodes only
+// (nsu3d::FineGather, Nsu3dSolver::own_fine_nodes). One wire exchange
+// carries every fine row a member does not own — the state after each
+// fine smoothing step, the residual before the FAS restriction and the
+// residual norm read it — so the foreign rows of the solve come from the
+// wire alone. Coarse levels, transfers, the norm, forces, the guard and
+// checkpoints run on the full arrays, identical on every member. Owned
+// rows are bitwise the single-process rows, and the wire protocol
+// (checksummed frames, deadline timeouts, bounded retransmit) delivers
+// them unchanged, so the residual/CL/CD history written by --history
+// matches the single-process solve byte for byte across threads, shm and
+// tcp, any rank count, both strategies and both overlap modes — with or
+// without injected transport faults.
 //
 //   --backend threads|shm|tcp  wire layer (default threads)
 //   --ranks N                  group size (default 2)
@@ -20,11 +28,9 @@
 //   --faults SPEC              arm COLUMBIA_FAULTS fault injection
 //   --faults-help              print the COLUMBIA_FAULTS grammar and exit
 //   --relaunch N               recovery budget for dead/hung ranks
-//   --overlap 0|1              split post()/finish() exchanges riding the
-//                              multigrid level hooks (default 1)
-//   --agglomerate N            min level nodes per active rank; coarse
-//                              levels below it shrink their rank set
-//                              (paper Fig. 19; 0 disables, default 64)
+//   --overlap 0|1              split each gather into post()/finish() so
+//                              the residual gather flies under the state
+//                              restriction (default 1)
 //   --trace PATH               record solver + halo.xchg spans and write a
 //                              Chrome trace (feed to `columbia_report comm`
 //                              for the per-level overlap/claimed table).
@@ -38,17 +44,6 @@
 //   --jsonl PATH               convergence JSONL sink; forked ranks write
 //                              per-rank suffixed files (conv.rank0.jsonl),
 //                              the threads backend one combined file
-//
-// Every multigrid level runs its own wire exchange per visit, posted on
-// entry to the level and finished after its pre-smoother (the split rides
-// core::MultigridDriver level hooks, so the exchange flies under the
-// smoother). Coarse levels whose partitions fall below --agglomerate
-// nodes/rank run on a shrunken active-rank set (idle members park), and a
-// dedicated transfer plan with differing sender/receiver active sets
-// carries the fine->coarse restriction pattern across the rank-set seam.
-// All of it is read-only validation traffic, so the history artifact
-// stays byte-identical across backends, strategies, overlap modes, and
-// agglomeration settings.
 //
 // Recovery semantics: a rank that dies (conn_reset exhausting the retry
 // budget, a crash) or hangs (peer_hang silencing its heartbeat) fails its
@@ -65,7 +60,6 @@
 #include <vector>
 
 #include "core/exchange_plan.hpp"
-#include "core/multigrid.hpp"
 #include "core/transport.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/partitioned.hpp"
@@ -95,29 +89,23 @@ struct Cli {
   std::string faults;
   int relaunch = 2;
   bool overlap = true;
-  index_t agglomerate = 64;
   std::string trace;
   std::string jsonl;
 };
 
 void usage() {
   std::printf(
-      "distributed_solve: SPMD guarded solve over a pluggable transport\n"
+      "distributed_solve: owner-computes guarded solve over a transport\n"
       "  --backend threads|shm|tcp  --ranks N  --strategy t2t|master\n"
       "  --tpp N  --cycles N  --orders X  --checkpoint PATH\n"
       "  --history PATH  --faults SPEC  --relaunch N\n"
-      "  --overlap 0|1  --agglomerate N (min nodes/rank, 0 = off)\n"
+      "  --overlap 0|1\n"
       "  --trace PATH   Chrome trace of the spans, any backend (forked\n"
       "                 ranks record durable per-rank telemetry shards,\n"
       "                 clock-synced and merged into PATH by the launcher)\n"
       "  --jsonl PATH   convergence JSONL (per-rank suffixed when forked)\n"
       "  --faults-help              print the COLUMBIA_FAULTS grammar\n");
 }
-
-/// Halo pattern for the wire: the fine level cut into contiguous node
-/// blocks. 8 partitions divide evenly by every supported --tpp, and the
-/// modulo rank->member mapping spreads the channels over any group size.
-constexpr index_t kHaloParts = 8;
 
 int solve_rank(int rank, core::Transport& t, const Cli& cli) {
   // Forked ranks each own a process-wide sink: suffix it per rank so two
@@ -144,28 +132,11 @@ int solve_rank(int rank, core::Transport& t, const Cli& cli) {
   opt.smoother = nsu3d::SmootherKind::LineImplicit;
   nsu3d::Nsu3dSolver solver(wing, conditions, opt);
 
-  const int nl = solver.num_levels();
-
-  // Per-level active-rank schedule (paper Fig. 19): a coarse level keeps
-  // only enough group members to give each >= --agglomerate nodes.
-  std::vector<index_t> level_nodes;
-  for (int l = 0; l < nl; ++l) level_nodes.push_back(solver.level(l).num_nodes);
-  const core::AgglomerationSchedule sched = core::AgglomerationSchedule::build(
-      level_nodes, t.group_size(), cli.agglomerate);
-  if (rank == 0) {
-    for (int l = 0; l < nl; ++l)
-      std::printf("agglomeration: level %d nodes=%lld active=%d/%d%s\n", l,
-                  (long long)level_nodes[std::size_t(l)],
-                  sched.active[std::size_t(l)], sched.group_size,
-                  sched.active[std::size_t(l)] < sched.group_size
-                      ? " (agglomerated)"
-                      : "");
-  }
-
   core::ExchangePlanOptions xopt;
   xopt.strategy = cli.strategy;
   xopt.threads_per_process =
       cli.strategy == core::ExchangeStrategy::MasterThread ? cli.tpp : 1;
+  xopt.level = 0;
   xopt.transport = &t;
   xopt.wire.deadline_ms = 200;
   xopt.wire.max_attempts = 8;
@@ -173,106 +144,21 @@ int solve_rank(int rank, core::Transport& t, const Cli& cli) {
   xopt.wire.backoff_max_ms = 8;
   xopt.wire.loopback_self = t.group_size() == 1;
 
-  // One wire exchange plan per multigrid level, each on its own (possibly
-  // agglomerated) active-rank set, plus the per-level partitioning it runs
-  // over. Contiguous node blocks; the modulo rank->member mapping spreads
-  // channels over the active members.
-  std::vector<std::vector<index_t>> part{std::size_t(nl),
-                                         std::vector<index_t>{}};
-  std::vector<std::unique_ptr<core::ExchangePlan>> plans;
-  for (int l = 0; l < nl; ++l) {
-    const index_t nn = level_nodes[std::size_t(l)];
-    auto& p = part[std::size_t(l)];
-    p.resize(std::size_t(nn));
-    for (index_t i = 0; i < nn; ++i) p[std::size_t(i)] = i * kHaloParts / nn;
-    core::ExchangePlanOptions lopt = xopt;
-    lopt.level = l;
-    lopt.active_members = sched.active[std::size_t(l)];
-    plans.push_back(std::make_unique<core::ExchangePlan>(
-        nsu3d::halo_requests(solver.level(l), p, kHaloParts), lopt));
+  // Owner-computes fine level: this member computes its line-respecting
+  // parts of level 0, and one gather plan brings in every other row.
+  nsu3d::FineGather gather(solver.level(0), xopt, cli.overlap);
+  solver.own_fine_nodes(gather.owned(),
+                        [&](std::vector<nsu3d::State>& rows,
+                            nsu3d::GatherPhase phase) {
+                          gather.complete(rows, phase);
+                        });
+  if (rank == 0) {
+    std::size_t mine = 0;
+    for (const char o : gather.owned()) mine += o != 0;
+    std::printf("owner-computes: level 0 in %lld parts, member 0 owns %zu "
+                "of %zu nodes\n",
+                (long long)gather.num_parts(), mine, gather.owned().size());
   }
-
-  // Transfer plan across the rank-set seam between the two coarsest
-  // levels: coarse partitions request the fine nodes whose agglomerate
-  // lands on them but whose fine owner is another partition (the
-  // restriction gather pattern). Sender ranks map through the fine
-  // level's active set, receivers through the coarse level's.
-  const int lf = nl - 2, lc = nl - 1;
-  core::RequestLists xfer_reqs{std::size_t(kHaloParts),
-                               std::vector<core::HaloRequest>{}};
-  {
-    const auto& fpart = part[std::size_t(lf)];
-    const auto& cpart = part[std::size_t(lc)];
-    const auto& to_coarse = solver.level(lf).to_coarse;
-    for (index_t v = 0; v < level_nodes[std::size_t(lf)]; ++v) {
-      const index_t fp = fpart[std::size_t(v)];
-      const index_t cp = cpart[std::size_t(to_coarse[std::size_t(v)])];
-      if (fp != cp) xfer_reqs[std::size_t(cp)].push_back({fp, v});
-    }
-  }
-  core::ExchangePlanOptions xfopt = xopt;
-  xfopt.level = lc;
-  xfopt.active_members = sched.active[std::size_t(lc)];
-  xfopt.sender_active_members = sched.active[std::size_t(lf)];
-  core::ExchangePlan xfer_plan(std::move(xfer_reqs), xfopt);
-
-  // Replicated per-partition data: every member carries the full density
-  // array of the level, so each rank can check the wire-delivered ghosts
-  // against the locally computed expectation — any silent corruption is a
-  // hard stop. One buffer per level plan (posted on level entry, finished
-  // and validated after the pre-smoother) plus one for the transfer plan.
-  std::vector<core::PartitionData> data(
-      std::size_t(nl),
-      core::PartitionData(std::size_t(kHaloParts), std::vector<real_t>{}));
-  core::PartitionData xfer_data(std::size_t(kHaloParts),
-                                std::vector<real_t>{});
-
-  const auto pack_level = [&](int l, core::PartitionData& dst) {
-    const std::span<const nsu3d::State> u = solver.solution(l);
-    for (auto& d : dst) {
-      d.resize(u.size());
-      for (std::size_t i = 0; i < u.size(); ++i) d[i] = u[i][0];
-    }
-  };
-  const auto validate = [&](core::ExchangePlan& plan,
-                            const core::PartitionData& got,
-                            const core::PartitionData& want) {
-    for (std::size_t p = 0; p < got.size(); ++p) {
-      const auto& reqs = plan.requests()[p];
-      for (std::size_t k = 0; k < reqs.size(); ++k) {
-        const core::HaloRequest& r = reqs[k];
-        if (got[p][k] !=
-            want[std::size_t(r.from_partition)][std::size_t(r.item)])
-          throw std::runtime_error("halo ghost mismatch on rank " +
-                                   std::to_string(rank));
-      }
-    }
-  };
-
-  // Split exchange riding the level hooks: post on level entry, compute
-  // (the pre-smoother) runs with the frames in flight, finish + validate
-  // after. With --overlap 0 each exchange completes inside the begin hook
-  // instead — same wire traffic, no compute under it.
-  solver.set_level_hooks(
-      [&](int l) {
-        auto& plan = *plans[std::size_t(l)];
-        pack_level(l, data[std::size_t(l)]);
-        plan.post(data[std::size_t(l)]);
-        if (l == lc) {
-          pack_level(lf, xfer_data);
-          xfer_plan.post(xfer_data);
-        }
-        if (!cli.overlap) {
-          validate(plan, plan.finish(), data[std::size_t(l)]);
-          if (l == lc) validate(xfer_plan, xfer_plan.finish(), xfer_data);
-        }
-      },
-      [&](int l) {
-        if (!cli.overlap) return;
-        auto& plan = *plans[std::size_t(l)];
-        validate(plan, plan.finish(), data[std::size_t(l)]);
-        if (l == lc) validate(xfer_plan, xfer_plan.finish(), xfer_data);
-      });
 
   resil::GuardCallbacks cb;
   cb.solver = "nsu3d";
@@ -479,14 +365,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(a, "--faults") == 0) cli.faults = argv[i + 1];
     if (std::strcmp(a, "--relaunch") == 0) cli.relaunch = std::atoi(argv[i + 1]);
     if (std::strcmp(a, "--overlap") == 0) cli.overlap = std::atoi(argv[i + 1]) != 0;
-    if (std::strcmp(a, "--agglomerate") == 0)
-      cli.agglomerate = index_t(std::atoll(argv[i + 1]));
     if (std::strcmp(a, "--trace") == 0) cli.trace = argv[i + 1];
     if (std::strcmp(a, "--jsonl") == 0) cli.jsonl = argv[i + 1];
   }
-  if (cli.ranks < 1 || cli.tpp < 1 || kHaloParts % cli.tpp != 0) {
-    std::fprintf(stderr, "bad --ranks/--tpp (tpp must divide %d)\n",
-                 int(kHaloParts));
+  if (cli.ranks < 1 || cli.tpp < 1) {
+    std::fprintf(stderr, "bad --ranks/--tpp (both must be >= 1)\n");
     return 1;
   }
   if (!cli.faults.empty()) {
@@ -501,11 +384,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "distributed_solve: backend=%s ranks=%d strategy=%s overlap=%d "
-      "agglomerate=%lld\n",
+      "distributed_solve: backend=%s ranks=%d strategy=%s overlap=%d\n",
       cli.backend.c_str(), cli.ranks,
       cli.strategy == core::ExchangeStrategy::MasterThread ? "master" : "t2t",
-      cli.overlap ? 1 : 0, (long long)cli.agglomerate);
+      cli.overlap ? 1 : 0);
   if (!cli.trace.empty() || !cli.jsonl.empty()) obs::set_enabled(true);
   if (!cli.jsonl.empty() && cli.backend == "threads" &&
       !obs::open_jsonl(cli.jsonl))

@@ -188,7 +188,8 @@ void ExchangePlan::transmit(Channel& ch, std::uint64_t seq) {
 // receiver adopts the wire-validated payload — the wire bytes are
 // load-bearing, which is what makes cross-backend bit-identity a real
 // claim rather than a tautology. Members on neither end (and the sender,
-// for its replicated copy of out_) validate the frame locally.
+// for its copy of out_) fill the channel's slots from their own posted
+// data (local_validate).
 
 int ExchangePlan::recv_active() const {
   const int n = opt_.transport->group_size();
@@ -217,11 +218,11 @@ void ExchangePlan::maybe_hang() {
 
 void ExchangePlan::local_validate(Channel& ch) {
   // Replicated fill for members not on the receiving end of the wire: the
-  // same frame/unframe discipline, no traffic, no spans, no fault sites
-  // (only the wire sender draws this channel's sites, so the injected set
-  // stays identical across group sizes).
-  resil::frame_payload_into(ch.payload, ch.frame);
-  COLUMBIA_REQUIRE(resil::unframe_payload(ch.frame, ch.recv));
+  // payload this member packed itself, so no traffic, no spans and no
+  // fault sites (only the wire sender draws this channel's sites, so the
+  // injected set stays identical across group sizes). It never left
+  // memory, so a checksum round trip would check nothing.
+  ch.recv.assign(ch.payload.begin(), ch.payload.end());
 }
 
 void ExchangePlan::note_retransmit(const Channel& ch) {
@@ -820,7 +821,7 @@ const PartitionData& ExchangePlan::finish() {
   // Complete every channel in global order (the deadlock-freedom order),
   // then scatter. The sender side resumes at its ack wait (attempt 0 left
   // in post()); receivers consume stashed frames before touching the
-  // wire; everyone else validates locally.
+  // wire; everyone else fills locally.
   auto complete = [&] {
     for (std::size_t ci = 0; ci < channels_.size(); ++ci) {
       Channel& ch = channels_[ci];
@@ -839,8 +840,7 @@ const PartitionData& ExchangePlan::finish() {
             transmit(ch, seq);
         } else if (send_member == me) {
           wire_send(std::uint32_t(ci), ch, seq, true);
-          // The sender's replicated out_ still needs this channel's
-          // values.
+          // The sender's out_ still needs this channel's values.
           local_validate(ch);
         } else if (recv_member == me) {
           wire_recv(std::uint32_t(ci), ch, seq);
@@ -864,7 +864,7 @@ const PartitionData& ExchangePlan::finish() {
   };
 
   // A member outside the plan's active set never touches the wire: its
-  // whole completion pass is replicated local validation, recorded as one
+  // whole completion pass is local fills, recorded as one
   // cheap park span so the observatory can price agglomerated idling.
   const bool parked =
       opt_.transport != nullptr &&

@@ -26,15 +26,19 @@
 // deterministic fault sites halo_site(seq, sender, receiver, attempt).
 // Delivered values are therefore bit-identical to the legacy API with
 // fault injection on or off (tests/test_core.cpp pins this down).
-// Multi-process execution (this PR's transport seam): attaching a
-// core::Transport to the options turns the plan into one member's view of
-// a process group. Every member runs the same schedule over replicated
-// data; a channel whose endpoints map to different members moves its frame
-// over the real wire (shared-memory ring, TCP socket, ...) with per-message
+// Multi-process execution: attaching a core::Transport to the options
+// turns the plan into one member's view of a process group. Every member
+// walks the same channel schedule, and each fills only the partitions it
+// owns in the data it posts (nsu3d::FineGather: a rank's own fine rows).
+// A channel whose endpoints map to different members moves its frame over
+// the real wire (shared-memory ring, TCP socket, ...) with per-message
 // deadlines, bounded exponential-backoff retransmission, reconnects after
-// resets, and peer-loss detection — while members not on the channel
-// validate the frame locally, so out_ is complete and bit-identical on
-// every member regardless of backend or injected transport faults.
+// resets, and peer-loss detection; the receiving member's slots of the
+// result hold exactly the bytes the owner sent, whatever the backend or
+// the injected transport faults. Slots of channels a member does not
+// receive are filled from its own copy of the posted data (local_validate)
+// — meaningful only where every member posts the same data, which the
+// protocol tests rely on.
 #pragma once
 
 #include <cstdint>
@@ -185,13 +189,12 @@ class ExchangePlan {
 
   // --- Wire path (transport attached) ---
   //
-  // Channel rank -> group member. Members run the identical schedule over
-  // replicated data; per channel exactly one member sends on the wire and
-  // one receives (wire_loopback when they coincide and loopback_self is
-  // set), everyone else validates the frame locally so out_ is complete
-  // and bit-identical on every member. Agglomerated plans shrink the
-  // member images: sender ranks map through sender_active(), receiver
-  // ranks through recv_active().
+  // Channel rank -> group member. Members run the identical schedule; per
+  // channel exactly one member sends on the wire and one receives
+  // (wire_loopback when they coincide and loopback_self is set), and
+  // everyone else fills the channel's slots from its own posted data.
+  // Agglomerated plans shrink the member images: sender ranks map through
+  // sender_active(), receiver ranks through recv_active().
   int recv_active() const;
   int sender_active() const;
   int member_of(index_t rank, bool sender_side) const;

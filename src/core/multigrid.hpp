@@ -47,50 +47,6 @@
 
 namespace columbia::core {
 
-/// Per-level active-rank schedule for coarse-level agglomeration (paper
-/// Fig. 19: coarse multigrid levels leave every rank with a partition too
-/// small to amortize per-message latency). Level l runs its halo
-/// exchanges on the first `active[l]` members of the transport group —
-/// fed to ExchangePlanOptions::active_members — while the remaining
-/// members park. The count is monotone non-increasing toward coarser
-/// levels, so a member parked on level l stays parked on every level
-/// below it.
-struct AgglomerationSchedule {
-  int group_size = 1;
-  index_t min_items_per_member = 0;
-  std::vector<int> active;  // per level, in [1, group_size]
-
-  /// `level_items[l]` = nodes/cells of level l; a level keeps only enough
-  /// members to give each at least `min_items_per_member` items
-  /// (0 disables agglomeration — every level keeps the full group).
-  static AgglomerationSchedule build(std::span<const index_t> level_items,
-                                     int group_size,
-                                     index_t min_items_per_member) {
-    AgglomerationSchedule s;
-    s.group_size = std::max(group_size, 1);
-    s.min_items_per_member = min_items_per_member;
-    int prev = s.group_size;
-    for (const index_t items : level_items) {
-      int a = s.group_size;
-      if (min_items_per_member > 0) {
-        const index_t want =
-            (items + min_items_per_member - 1) / min_items_per_member;
-        a = int(std::clamp(want, index_t(1), index_t(s.group_size)));
-      }
-      a = std::min(a, prev);
-      s.active.push_back(a);
-      prev = a;
-    }
-    return s;
-  }
-
-  bool engaged() const {
-    for (const int a : active)
-      if (a < group_size) return true;
-    return false;
-  }
-};
-
 template <class Physics>
 class MultigridDriver {
  public:

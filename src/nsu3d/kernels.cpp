@@ -28,11 +28,21 @@ namespace {
 constexpr std::size_t kNodeGrain = 256;
 constexpr std::size_t kLineGrain = 2;
 
-/// Runs `body(e, own_a, own_b)` over every edge as one pool job over the
-/// level's owner lists (see smp::for_edges_owned).
+/// Runs `body(e, own_a, own_b)` over the edges of the computed rows as
+/// one pool job over the level's owner lists (see smp::for_edges_owned).
 template <class Fn>
 void for_edges_owned(const Level& lvl, Scratch& s, Fn&& body) {
   smp::for_edges_owned(edge_owners(lvl, s), std::forward<Fn>(body));
+}
+
+/// The same over the edges of the rows and their ring-1 ghosts.
+template <class Fn>
+void for_ring_edges(const Level& lvl, Scratch& s, Fn&& body) {
+  const smp::EdgeOwners& own =
+      s.subset() ? s.ring_owners.fit(std::size_t(lvl.num_nodes), lvl.edge_a,
+                                     lvl.edge_b, s.ring)
+                 : edge_owners(lvl, s);
+  smp::for_edges_owned(own, std::forward<Fn>(body));
 }
 
 /// Elementwise (no cross-index writes) loop over [0, n).
@@ -41,6 +51,18 @@ void for_nodes(std::size_t n, Fn&& body) {
   smp::ThreadPool::global().parallel_for(
       0, n, kNodeGrain, [&](std::size_t b, std::size_t e, int) {
         for (std::size_t i = b; i < e; ++i) body(i);
+      });
+}
+
+/// Elementwise loop over the node list `nodes`, or over [0, n) when the
+/// scratch has no subset (`nodes` empty).
+template <class Fn>
+void for_subset(std::size_t n, const std::vector<index_t>& nodes, Fn&& body) {
+  if (nodes.empty()) return for_nodes(n, std::forward<Fn>(body));
+  const index_t* const v = nodes.data();
+  smp::ThreadPool::global().parallel_for(
+      0, nodes.size(), kNodeGrain, [&](std::size_t b, std::size_t e, int) {
+        for (std::size_t k = b; k < e; ++k) body(std::size_t(v[k]));
       });
 }
 
@@ -135,7 +157,49 @@ void Scratch::resize(const Level& lvl) {
 }
 
 const smp::EdgeOwners& edge_owners(const Level& lvl, Scratch& s) {
-  return s.owners.fit(std::size_t(lvl.num_nodes), lvl.edge_a, lvl.edge_b);
+  return s.owners.fit(std::size_t(lvl.num_nodes), lvl.edge_a, lvl.edge_b,
+                      s.rows);
+}
+
+void Scratch::set_owned(const Level& lvl, std::span<const char> owned) {
+  rows.clear();
+  ring.clear();
+  prim.clear();
+  lines.clear();
+  owners.parts = ring_owners.parts = 0;  // rebuilt for the new subset
+  if (owned.empty()) return;
+  const std::size_t nn = std::size_t(lvl.num_nodes);
+  COLUMBIA_REQUIRE(owned.size() == nn);
+  // Edge distance from the rows: 0 row, 1 ring-1, 2 ring-2, 3 farther.
+  std::vector<std::uint8_t> dist(nn, 3);
+  for (std::size_t v = 0; v < nn; ++v)
+    if (owned[v]) dist[v] = 0;
+  for (const std::uint8_t from : {std::uint8_t(0), std::uint8_t(1)})
+    for (std::size_t e = 0; e < lvl.edge_a.size(); ++e) {
+      std::uint8_t& da = dist[std::size_t(lvl.edge_a[e])];
+      std::uint8_t& db = dist[std::size_t(lvl.edge_b[e])];
+      if (da == from && db == 3) db = from + 1;
+      if (db == from && da == 3) da = from + 1;
+    }
+  for (std::size_t v = 0; v < nn; ++v) {
+    if (dist[v] == 0) rows.push_back(index_t(v));
+    if (dist[v] <= 1) ring.push_back(index_t(v));
+    if (dist[v] <= 2) prim.push_back(index_t(v));
+  }
+  COLUMBIA_REQUIRE(!rows.empty());
+  if (rows.size() == nn) {  // owns everything: the whole-level path
+    rows.clear();
+    ring.clear();
+    prim.clear();
+    return;
+  }
+  for (std::size_t li = 0; li < lvl.lines.lines.size(); ++li) {
+    const auto& line = lvl.lines.lines[li];
+    std::size_t in = 0;
+    for (const index_t v : line) in += owned[std::size_t(v)] ? 1 : 0;
+    COLUMBIA_REQUIRE(in == 0 || in == line.size());
+    if (in > 0) lines.push_back(index_t(li));
+  }
 }
 
 namespace {
@@ -158,7 +222,7 @@ void prim_cache_impl(const Level& lvl, const Physics& phys,
   State* const r = ZeroRes ? res->data() : nullptr;
   const real_t mu_lam = phys.mu_lam;
   const bool viscous = phys.viscous;
-  for_nodes(n, [&](std::size_t i) {
+  for_subset(n, s.prim, [&](std::size_t i) {
     const State& ui = u[i];
     const Prim wi = mean_prim(ui);
     w[i] = wi;
@@ -220,7 +284,7 @@ void gradients(const Level& lvl, Scratch& s, bool with_minmax) {
   // q, so seeding before the fused sweep is value-identical). The limiter
   // seed (phi = 1) rides along in the same pass: nothing reads ph before
   // the limiter's own min-accumulation.
-  for_nodes(n, [&](std::size_t i) {
+  for_subset(n, s.ring, [&](std::size_t i) {
     real_t* const __restrict g = gb + i * kGradStride;
     const real_t* const __restrict p = pb + i * kPrimStride;
     for (std::size_t c = 0; c < 6; ++c) {
@@ -251,7 +315,7 @@ void gradients_sweep(const Level& lvl, Scratch& s, bool with_minmax) {
   const real_t* const ny = lvl.edge_ny.data();
   const real_t* const nz = lvl.edge_nz.data();
   auto sweep = [&](auto minmax) {
-    for_edges_owned(lvl, s, [&](std::size_t e, auto own_a, auto own_b) {
+    for_ring_edges(lvl, s, [&](std::size_t e, auto own_a, auto own_b) {
       constexpr bool A = decltype(own_a)::value, B = decltype(own_b)::value;
       const std::size_t a = std::size_t(ea[e]);
       const std::size_t b = std::size_t(eb[e]);
@@ -270,7 +334,7 @@ void gradients_sweep(const Level& lvl, Scratch& s, bool with_minmax) {
   // Vec3 by max(vol, 1e-300), which geom::Vec3 implements as reciprocal
   // multiplication — Level::inv_volume is that same reciprocal.
   const real_t* const invv = lvl.inv_volume.data();
-  for_nodes(n, [&](std::size_t i) {
+  for_subset(n, s.ring, [&](std::size_t i) {
     Vec3 bn{};
     for (const Vec3& t : lvl.boundary_normal[i]) bn += t;
     const real_t iv = invv[i];
@@ -300,7 +364,7 @@ void limiter(const Level& lvl, Scratch& s) {
   const real_t* const dx = lvl.edge_dx.data();
   const real_t* const dy = lvl.edge_dy.data();
   const real_t* const dz = lvl.edge_dz.data();
-  for_edges_owned(lvl, s, [&](std::size_t e, auto own_a, auto own_b) {
+  for_ring_edges(lvl, s, [&](std::size_t e, auto own_a, auto own_b) {
     constexpr bool A = decltype(own_a)::value, B = decltype(own_b)::value;
     const std::size_t a = std::size_t(ea[e]);
     const std::size_t b = std::size_t(eb[e]);
@@ -595,8 +659,9 @@ void boundary_residual(const Level& lvl, const Physics& phys,
   const std::size_t n = std::size_t(lvl.num_nodes);
   const Prim* const w = s.w.data();
   const real_t* const nut = s.nut.data();
-  for_nodes(n,
-            [&](std::size_t i) { boundary_node(lvl, phys, w, nut, i, res[i]); });
+  for_subset(n, s.rows, [&](std::size_t i) {
+    boundary_node(lvl, phys, w, nut, i, res[i]);
+  });
 }
 
 void strong_bc_filter(const Level& lvl, const Physics& phys, int level,
@@ -619,7 +684,7 @@ void sa_source(const Level& lvl, const Physics& phys, const Scratch& s,
   const real_t* const nut = s.nut.data();
   const real_t* const gb = s.gb.data();
   const SaConsts sc = sa_consts();
-  for_nodes(n, [&](std::size_t i) {
+  for_subset(n, s.rows, [&](std::size_t i) {
     sa_node(lvl, phys.mu_lam, w, nut, gb, sc, i, res[i]);
   });
 }
@@ -653,7 +718,7 @@ void residual(const Level& lvl, const Physics& phys, int level,
   const SaConsts sc = sa_consts();
   const bool strong = level == 0;
   const bool viscous = phys.viscous;
-  for_nodes(n, [&](std::size_t i) {
+  for_subset(n, s.rows, [&](std::size_t i) {
     State& ri = res[i];
     boundary_node(lvl, phys, w, nut, i, ri);
     if (strong) strong_bc_node(lvl, viscous, i, ri);
@@ -677,7 +742,7 @@ void smoother_blocks(const Level& lvl, const Physics& phys, real_t cfl,
 
   // Per-node sound speed, cached: the scalar path recomputed sqrt(g p/rho)
   // for both endpoints of every edge.
-  for_nodes(n, [&](std::size_t i) {
+  for_subset(n, s.rows, [&](std::size_t i) {
     snd[i] = w[i].sound_speed();
     for (std::size_t c = 0; c < kSumStride; ++c) sums[i * kSumStride + c] = 0;
   });
@@ -729,7 +794,7 @@ void smoother_blocks(const Level& lvl, const Physics& phys, real_t cfl,
 
   BlockMat<5>* const diag = s.diag.data();
   real_t* const diag_sa = s.diag_sa.data();
-  for_nodes(n, [&](std::size_t i) {
+  for_subset(n, s.rows, [&](std::size_t i) {
     real_t* const si = sums + i * kSumStride;
     Vec3 bn{};
     for (const Vec3& t : lvl.boundary_normal[i]) bn += t;
@@ -803,7 +868,7 @@ void point_sweep(const Level& lvl, real_t relax, std::span<const State> f,
   const std::size_t n = std::size_t(lvl.num_nodes);
   const BlockMat<5>* const diag = s.diag.data();
   const real_t* const diag_sa = s.diag_sa.data();
-  for_nodes(n, [&](std::size_t i) {
+  for_subset(n, s.rows, [&](std::size_t i) {
     BlockLU<5> lu;
     if (!lu.factor_status(diag[i]) || std::abs(diag_sa[i]) < kTinyPivot) {
       // Singular point: skip the update (explicit fallback) but make
@@ -833,11 +898,16 @@ void line_sweep(const Level& lvl, const Physics& phys, real_t relax,
   const real_t* const diag_sa = s.diag_sa.data();
   const real_t mu_lam = phys.mu_lam;
   const bool viscous = phys.viscous;
-  OBS_COUNT("nsu3d.line_solves", all_lines.size());
-  pool.parallel_for(0, all_lines.size(), kLineGrain,
+  // The owned lines of a subset scratch, else every line.
+  const bool sub = s.subset();
+  const std::size_t nlines = sub ? s.lines.size() : all_lines.size();
+  const index_t* const owned_lines = s.lines.data();
+  OBS_COUNT("nsu3d.line_solves", nlines);
+  pool.parallel_for(0, nlines, kLineGrain,
                     [&](std::size_t lb, std::size_t le, int tid) {
     Scratch::LineScratch& ls = s.line_scratch[std::size_t(tid)];
-    for (std::size_t li = lb; li < le; ++li) {
+    for (std::size_t k = lb; k < le; ++k) {
+      const std::size_t li = sub ? std::size_t(owned_lines[k]) : k;
       const auto& line = all_lines[li];
       const auto& ledges = lvl.line_edges[li];
       const std::size_t len = line.size();

@@ -156,22 +156,45 @@ struct Scratch {
   std::vector<LineScratch> line_scratch;
 
   /// Edge-sweep owner lists (smp/owners.hpp), built on first use for the
-  /// pool width.
-  smp::EdgeOwners owners;
+  /// pool width: `owners` over the computed rows, `ring_owners` over the
+  /// rows plus their ring-1 ghosts (the same lists when every node is a
+  /// row).
+  smp::EdgeOwners owners, ring_owners;
+
+  /// Owner-computes subset (set_owned; all empty = every node). `rows`
+  /// are the nodes whose residual, diagonal blocks and updates the kernels
+  /// compute; `ring` adds the ring-1 ghosts (non-row nodes one edge from a
+  /// row), whose gradients and limiter values the row fluxes read; `prim`
+  /// adds the ring-2 ghosts, whose primitives those gradients read.
+  /// `lines` lists the implicit lines made of rows. Rows of other nodes in
+  /// the kernels' outputs are left stale (or zeroed) for the caller to
+  /// fill.
+  std::vector<index_t> rows, ring, prim;
+  std::vector<index_t> lines;
+
+  /// Restricts every kernel on this scratch to the nodes with owned[v]
+  /// set; an empty mask restores the whole level. Requires at least one
+  /// owned node and every implicit line wholly owned or wholly not.
+  void set_owned(const Level& lvl, std::span<const char> owned);
+  bool subset() const { return !rows.empty(); }
 
   /// Sizes the per-node and per-edge arrays (residual-path fields only;
   /// smoother fields are sized by their kernels).
   void resize(const Level& lvl);
 };
 
-/// The owner lists the edge sweeps use: `s.owners`, rebuilt first when the
+/// The owner lists the row sweeps use: `s.owners`, rebuilt first when the
 /// pool width or the level's size no longer match it.
 const smp::EdgeOwners& edge_owners(const Level& lvl, Scratch& s);
 
 // --- Residual phase kernels (all pool-parallel, bit-identical across
 // thread counts). Call order: prim_cache -> gradients (optional) ->
 // limiter (optional) -> flux_residual -> boundary_residual ->
-// strong_bc_filter -> sa_source. ---
+// strong_bc_filter -> sa_source. On a subset scratch (Scratch::set_owned)
+// each phase covers only the nodes its consumers read: prim_cache the
+// prim set, gradients and limiter the ring set, the rest the rows — and
+// every row equals the whole-level result bit for bit, because each row
+// still sums all of its edges in ascending edge order. ---
 
 /// Primitive / reconstruction-scalar cache from the conservative state.
 void prim_cache(const Level& lvl, const Physics& phys,

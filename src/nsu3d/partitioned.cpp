@@ -61,17 +61,7 @@ PartitionPlan build_partition_plan(const std::vector<Level>& levels,
     popt.seed = seed + l;
 
     if (l == 0 && lvl.lines.longest() > 1) {
-      // Contract implicit lines so partitions never break them (Fig. 6b).
-      std::vector<real_t> weights(lvl.edges.size());
-      for (std::size_t e = 0; e < lvl.edges.size(); ++e)
-        weights[e] = lvl.edge_length[e] > 0
-                         ? norm(lvl.edge_normal[e]) / lvl.edge_length[e]
-                         : 0.0;
-      const graph::Csr g = graph::Csr::from_weighted_edges(
-          lvl.num_nodes, lvl.edges, weights);
-      const graph::ContractedGraph cg = graph::contract_lines(g, lvl.lines);
-      const auto line_part = graph::partition(cg.graph, nparts, popt);
-      dec.part = graph::expand_line_partition(cg, line_part);
+      dec.part = partition_fine(lvl, nparts, popt.seed);
     } else {
       const graph::Csr g = graph::Csr::from_edges(lvl.num_nodes, lvl.edges);
       dec.part = graph::partition(g, nparts, popt);
@@ -141,6 +131,108 @@ bool lines_unbroken(const Level& fine, std::span<const index_t> part) {
       if (part[std::size_t(v)] != part[std::size_t(line[0])]) return false;
   }
   return true;
+}
+
+std::vector<index_t> partition_fine(const Level& fine, index_t nparts,
+                                    std::uint64_t seed,
+                                    std::span<const real_t> node_work) {
+  // Contract implicit lines so partitions never break them (Fig. 6b).
+  std::vector<real_t> weights(fine.edges.size());
+  for (std::size_t e = 0; e < fine.edges.size(); ++e)
+    weights[e] = fine.edge_length[e] > 0
+                     ? norm(fine.edge_normal[e]) / fine.edge_length[e]
+                     : 0.0;
+  const graph::Csr g =
+      graph::Csr::from_weighted_edges(fine.num_nodes, fine.edges, weights);
+  graph::ContractedGraph cg = graph::contract_lines(g, fine.lines);
+  if (!node_work.empty()) {
+    std::vector<real_t> w(fine.lines.lines.size(), 0.0);
+    for (std::size_t v = 0; v < node_work.size(); ++v)
+      w[std::size_t(cg.vertex_to_line[v])] += node_work[v];
+    cg.graph.set_vertex_weights(std::move(w));
+  }
+  graph::PartitionOptions popt;
+  popt.seed = seed;
+  const auto line_part = graph::partition(cg.graph, nparts, popt);
+  return graph::expand_line_partition(cg, line_part);
+}
+
+FineGather::FineGather(const Level& fine,
+                       const core::ExchangePlanOptions& comm, bool overlap)
+    : overlap_(overlap) {
+  const bool master = comm.strategy == core::ExchangeStrategy::MasterThread;
+  const index_t tpp = master ? index_t(comm.threads_per_process) : 1;
+  const index_t members =
+      comm.transport != nullptr ? index_t(comm.transport->group_size()) : 1;
+  const index_t me =
+      comm.transport != nullptr ? index_t(comm.transport->group_rank()) : 0;
+  COLUMBIA_REQUIRE(tpp >= 1 && comm.active_members == 0);
+  const index_t nparts = members * tpp;
+  const std::size_t np = std::size_t(nparts);
+
+  // Parts balance edge endpoints — the edge sweeps' work, and the measure
+  // smp::EdgeOwners balances threads by — rather than node counts: the
+  // outer field's nodes carry more edges than the boundary layer's.
+  std::vector<real_t> work(std::size_t(fine.num_nodes), 0.0);
+  for (const auto& [a, b] : fine.edges) {
+    work[std::size_t(a)] += 1;
+    work[std::size_t(b)] += 1;
+  }
+  const std::vector<index_t> part = partition_fine(fine, nparts, 1, work);
+  COLUMBIA_REQUIRE(lines_unbroken(fine, part));
+  nodes_.assign(np, {});
+  for (std::size_t v = 0; v < part.size(); ++v)
+    nodes_[std::size_t(part[v])].push_back(index_t(v));
+  // The plan maps part p to rank p / tpp and rank r to member r.
+  mine_begin_ = me * tpp;
+  mine_end_ = mine_begin_ + tpp;
+  owned_.assign(part.size(), 0);
+  for (index_t p = mine_begin_; p < mine_end_; ++p)
+    for (const index_t v : nodes_[std::size_t(p)]) owned_[std::size_t(v)] = 1;
+
+  // Every member's first part requests all rows of the parts on other
+  // members (item = slot * 6 + component in the owner's packed array);
+  // the other parts request nothing, so each row crosses once per member.
+  core::RequestLists reqs(np);
+  for (index_t m = 0; m < members; ++m) {
+    auto& want = reqs[std::size_t(m * tpp)];
+    for (index_t p = 0; p < nparts; ++p) {
+      if (p / tpp == m) continue;
+      const index_t n = index_t(nodes_[std::size_t(p)].size());
+      for (index_t item = 0; item < n * 6; ++item) want.push_back({p, item});
+    }
+  }
+  data_.assign(np, {});
+  for (std::size_t p = 0; p < np; ++p) data_[p].resize(nodes_[p].size() * 6);
+  plan_ = std::make_unique<core::ExchangePlan>(std::move(reqs), comm);
+}
+
+void FineGather::complete(std::vector<State>& rows, GatherPhase phase) {
+  if (phase == GatherPhase::Post) {
+    for (index_t p = mine_begin_; p < mine_end_; ++p) {
+      real_t* d = data_[std::size_t(p)].data();
+      for (const index_t v : nodes_[std::size_t(p)])
+        for (const real_t x : rows[std::size_t(v)]) *d++ = x;
+    }
+    if (overlap_)
+      plan_->post(data_);
+    else
+      scatter(plan_->exchange(data_), rows);
+  } else if (overlap_) {
+    scatter(plan_->finish(), rows);
+  }
+}
+
+void FineGather::scatter(const core::PartitionData& got,
+                         std::vector<State>& rows) {
+  // The first part's requests walk the other members' parts in ascending
+  // order, six values per node.
+  const real_t* x = got[std::size_t(mine_begin_)].data();
+  for (index_t p = 0; p < index_t(nodes_.size()); ++p) {
+    if (p >= mine_begin_ && p < mine_end_) continue;
+    for (const index_t v : nodes_[std::size_t(p)])
+      for (real_t& c : rows[std::size_t(v)]) c = *x++;
+  }
 }
 
 std::vector<State> parallel_residual(const Level& lvl,

@@ -13,6 +13,7 @@
 // sizes, communication-graph degree, and the inter-grid transfer volume.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/exchange_plan.hpp"
@@ -51,6 +52,52 @@ PartitionPlan build_partition_plan(const std::vector<Level>& levels,
 
 /// Verifies that no implicit line of the fine level is split by the plan.
 bool lines_unbroken(const Level& fine, std::span<const index_t> part);
+
+/// Line-respecting partition of the fine level: graph::partition on the
+/// line-contracted graph (Fig. 6b), one part id per node. A line weighs
+/// the sum of its nodes' `node_work` (empty = one per node).
+std::vector<index_t> partition_fine(const Level& fine, index_t nparts,
+                                    std::uint64_t seed = 1,
+                                    std::span<const real_t> node_work = {});
+
+/// Owner-computes fine level over a transport group: the partition, the
+/// owned-node mask and the gather behind Nsu3dSolver::own_fine_nodes.
+///
+/// Level 0 is split into line-respecting parts — one per member for
+/// ThreadToThread, members x threads_per_process for MasterThread — and
+/// this member owns the parts the exchange plan maps to it. One
+/// core::ExchangePlan moves state or residual rows: the member's first
+/// part requests every row of every part it does not own, six values per
+/// node, so the wire carries the solve itself and its bytes are the only
+/// source of the foreign rows.
+class FineGather {
+ public:
+  /// `comm.transport` is the group (nullptr = a group of one); `overlap`
+  /// splits each exchange between the Post and Finish phases, otherwise
+  /// Post runs it whole.
+  FineGather(const Level& fine, const core::ExchangePlanOptions& comm,
+             bool overlap);
+
+  /// owned()[v] != 0 for the fine nodes this member computes.
+  const std::vector<char>& owned() const { return owned_; }
+  index_t num_parts() const { return index_t(nodes_.size()); }
+  const core::ExchangePlan& plan() const { return *plan_; }
+
+  /// The solver's complete callback: Post packs this member's rows and
+  /// sends them; Finish receives and writes every row it does not own.
+  void complete(std::vector<State>& rows, GatherPhase phase);
+
+ private:
+  void scatter(const core::PartitionData& got, std::vector<State>& rows);
+
+  bool overlap_;
+  std::vector<char> owned_;
+  std::vector<std::vector<index_t>> nodes_;  // per part, ascending ids
+  /// This member's parts; the first one requests every foreign row.
+  index_t mine_begin_ = 0, mine_end_ = 0;
+  core::PartitionData data_;                 // per part, 6 values per node
+  std::unique_ptr<core::ExchangePlan> plan_;
+};
 
 /// Ghost-state request lists of a level decomposition: for each partition,
 /// the unique cross-partition edge endpoints it needs each exchange,

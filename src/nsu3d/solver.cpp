@@ -122,8 +122,32 @@ const std::vector<State>& Nsu3dSolver::level_residual(int l) {
   if (!residual_current_[k]) {
     residual_into(l, state_[k], residual_[k], opt_.second_order && l == 0);
     residual_current_[k] = 1;
+    if (l == 0) residual_complete_ = !complete_;
   }
   return residual_[k];
+}
+
+const std::vector<State>& Nsu3dSolver::fine_residual() {
+  level_residual(0);
+  if (!residual_complete_) {
+    gather(residual_[0]);
+    residual_complete_ = true;
+  }
+  return residual_[0];
+}
+
+void Nsu3dSolver::gather(std::vector<State>& rows) {
+  OBS_SPAN("nsu3d.gather");
+  complete_(rows, GatherPhase::Post);
+  complete_(rows, GatherPhase::Finish);
+}
+
+void Nsu3dSolver::own_fine_nodes(std::span<const char> owned,
+                                 CompleteFn complete) {
+  kernels::Scratch& k = work_[0].k;
+  k.set_owned(levels_[0], owned);
+  complete_ = k.subset() ? std::move(complete) : CompleteFn{};
+  state_changed(0);
 }
 
 void Nsu3dSolver::smooth(int l, int steps) {
@@ -152,6 +176,7 @@ void Nsu3dSolver::smooth(int l, int steps) {
     }
     state_changed(l);
     apply_strong_bcs(l);
+    if (l == 0 && complete_) gather(u);
   }
 }
 
@@ -163,6 +188,12 @@ void Nsu3dSolver::restrict_to(int l) {
   std::vector<State>& uc = state_[std::size_t(l) + 1];
   std::vector<State>& fc = forcing_[std::size_t(l) + 1];
   const std::size_t nc = std::size_t(coarse.num_nodes);
+
+  // The fine residual first: an owner-computes solver has its own rows
+  // now, and their gather flies under the state restriction.
+  const std::vector<State>& rf = level_residual(l);
+  const bool gathering = l == 0 && !residual_complete_;
+  if (gathering) complete_(residual_[0], GatherPhase::Post);
 
   uc.assign(nc, State{});
   wsc.vol.assign(nc, 0.0);
@@ -180,7 +211,11 @@ void Nsu3dSolver::restrict_to(int l) {
   restricted_snapshot_[std::size_t(l) + 1] = uc;
   state_changed(l + 1);
 
-  const std::vector<State>& rf = level_residual(l);
+  if (gathering) {
+    OBS_SPAN("nsu3d.gather");
+    complete_(residual_[0], GatherPhase::Finish);
+    residual_complete_ = true;
+  }
   wsc.transferred.assign(nc, State{});
   std::vector<State>& transferred = wsc.transferred;
   for (index_t i = 0; i < fine.num_nodes; ++i) {
@@ -218,7 +253,7 @@ void Nsu3dSolver::prolong_correction(int l) {
 }
 
 real_t Nsu3dSolver::residual_norm() {
-  const std::vector<State>& r0 = level_residual(0);
+  const std::vector<State>& r0 = fine_residual();
   const Level& lvl = levels_[0];
   const std::size_t n = std::size_t(lvl.num_nodes);
   // Deterministic tree reduction: fixed chunking, partials combined in

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -62,6 +63,14 @@ struct LevelWork {
   index_t visits_per_cycle = 0;
 };
 
+/// The halves of a fine-level gather (Nsu3dSolver::own_fine_nodes): Post
+/// once this rank's rows of the array are final, Finish before a row it
+/// does not own is read.
+enum class GatherPhase { Post, Finish };
+/// Writes into `rows` every fine row this rank does not own, from its
+/// owner (one halo exchange; the work may split between the two phases).
+using CompleteFn = std::function<void(std::vector<State>& rows, GatherPhase)>;
+
 class Nsu3dSolver {
  public:
   Nsu3dSolver(const mesh::UnstructuredMesh& m,
@@ -105,15 +114,17 @@ class Nsu3dSolver {
     return state_[std::size_t(l)];
   }
 
-  /// Read-only level-visit hooks (core::MultigridDriver::set_level_hooks):
-  /// `begin` fires on entry to a level visit, `end` right after its
-  /// pre-smoother — the post()/finish() anchor points for split halo
-  /// exchanges. Hooks must not mutate solver state; histories stay
-  /// bit-identical with hooks installed or absent.
-  void set_level_hooks(std::function<void(int)> begin,
-                       std::function<void(int)> end) {
-    driver_.set_level_hooks(std::move(begin), std::move(end));
-  }
+  /// Owner-computes fine level (distributed runs, paper Sec. III): the
+  /// fine residual, smoother blocks and sweeps run only on the nodes with
+  /// owned[v] set (kernels::Scratch::set_owned), and `complete` fills the
+  /// other rows of a fine array — the state after every fine smoothing
+  /// step, the residual before the FAS restriction or the residual norm
+  /// reads it. Everything else (coarse levels, transfers, the norm,
+  /// forces, checkpoints) runs on full arrays that are identical on every
+  /// rank, so a group of such solvers reproduces the single-process
+  /// history bit for bit. An empty mask, or one owning every node,
+  /// restores the whole-level path.
+  void own_fine_nodes(std::span<const char> owned, CompleteFn complete);
 
   Forces integrate_forces() const;
   std::vector<LevelWork> level_work() const;
@@ -122,7 +133,8 @@ class Nsu3dSolver {
   /// tests can drive the hot kernel directly). Runs on the shared-memory
   /// pool; results are bit-identical for every thread count. Overwrites
   /// the level's kernel scratch, so the next smoothing sweep on `l`
-  /// recomputes its own residual.
+  /// recomputes its own residual. Owner-computes solvers fill only their
+  /// own rows of level 0.
   void compute_residual(int l, const std::vector<State>& u,
                         std::vector<State>& res, bool second_order);
 
@@ -144,6 +156,12 @@ class Nsu3dSolver {
   /// the public compute_residual; lets a smoothing sweep reuse the
   /// residual that residual_norm() or the FAS restriction just computed.
   std::vector<char> residual_current_;
+  /// residual_[0] holds every row, not only the owned ones (always true
+  /// without an owned mask).
+  bool residual_complete_ = true;
+  /// Owner-computes gather (own_fine_nodes); empty = this solver owns
+  /// every fine node.
+  CompleteFn complete_;
   std::vector<std::vector<State>> restricted_snapshot_;
 
   /// Persistent per-level scratch: steady-state cycles perform no heap
@@ -170,6 +188,10 @@ class Nsu3dSolver {
   /// Residual of state_[l] into residual_[l] (second order on level 0 when
   /// enabled), computed only when residual_current_[l] is clear.
   const std::vector<State>& level_residual(int l);
+  /// level_residual(0) with every row: the foreign rows gathered.
+  const std::vector<State>& fine_residual();
+  /// Both gather phases back to back.
+  void gather(std::vector<State>& rows);
   void residual_into(int l, const std::vector<State>& u,
                      std::vector<State>& res, bool second_order);
   /// Marks state_[l] as written (its held residual is stale).

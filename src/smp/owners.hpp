@@ -11,6 +11,12 @@
 // writing its own side. So every vertex is written by one task, in
 // ascending edge order — the order of a serial sweep — whatever the part
 // count or the split, and threaded sweeps are bit-identical to serial ones.
+//
+// An optional vertex subset restricts the lists to the edges that touch it
+// and gives ownership to subset vertices only (the owner-computes fine
+// level: a rank's threads split that rank's nodes). A subset vertex still
+// sees every one of its edges, in ascending order, so its sums equal the
+// whole-graph sweep's bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -29,22 +35,30 @@ struct EdgeOwners {
 
   int parts = 0;
   std::size_t num_vertices = 0, num_edges = 0;  // graph the lists describe
-  /// Part p owns vertices [vertex_begin[p], vertex_begin[p+1]) and lists
-  /// entries [offsets[p], offsets[p+1]); an entry is (edge << 2) | the
-  /// kOwnA / kOwnB bits of the sides it owns.
+  /// Size of the vertex subset the lists cover; 0 = every vertex.
+  std::size_t subset_size = 0;
+  /// Part p owns the (subset) vertices in [vertex_begin[p],
+  /// vertex_begin[p+1]) and lists entries [offsets[p], offsets[p+1]); an
+  /// entry is (edge << 2) | the kOwnA / kOwnB bits of the sides it owns.
   std::vector<index_t> vertex_begin;
   std::vector<std::size_t> offsets;
   std::vector<std::uint32_t> entries;
 
   /// Rebuilds the lists for the edges (a[e], b[e]) over `num_vertices`
-  /// vertices split into `num_parts` parts; O(V + E).
+  /// vertices split into `num_parts` parts; O(V + E). A non-empty `subset`
+  /// (ascending vertex ids) limits ownership to those vertices and the
+  /// lists to the edges touching them.
   void build(std::size_t num_vertices, std::span<const index_t> a,
-             std::span<const index_t> b, int num_parts);
+             std::span<const index_t> b, int num_parts,
+             std::span<const index_t> subset = {});
 
   /// The lists for the calling thread's pool (ThreadPool::global()):
-  /// rebuilt first when its width or the graph's size no longer match.
+  /// rebuilt first when its width, the graph's size or the subset's size
+  /// no longer match (a caller that swaps one subset for another of the
+  /// same size resets `parts` to force the rebuild).
   const EdgeOwners& fit(std::size_t num_vertices, std::span<const index_t> a,
-                        std::span<const index_t> b);
+                        std::span<const index_t> b,
+                        std::span<const index_t> subset = {});
 };
 
 /// Runs `body(e, own_a, own_b)` over every edge of `own` as ONE pool job
@@ -57,7 +71,7 @@ template <class Fn>
 void for_edges_owned(const EdgeOwners& own, Fn&& body) {
   using Own = std::true_type;
   using NotOwn = std::false_type;
-  if (own.parts == 1) {
+  if (own.parts == 1 && own.subset_size == 0) {
     // One part lists every edge in order with both sides owned: walk the
     // edge indices directly, as a plain serial loop would.
     for (std::size_t e = 0; e < own.num_edges; ++e) body(e, Own{}, Own{});

@@ -412,6 +412,94 @@ TEST(Nsu3dSmoother, LineSweepMatchesSixBySixLineSolveBitwise) {
   }
 }
 
+TEST(Nsu3dSoA, OwnedSubsetMatchesWholeLevelBitwise) {
+  // Owner-computes fine level: on random line-respecting partitions, a
+  // scratch restricted to one part's nodes must give that part's residual
+  // rows, diagonal blocks and line-sweep updates exactly as the whole-level
+  // kernels do, and leave every other row of the updated state alone.
+  PoolGuard guard;
+  const auto m = small_wing();
+  nsu3d::LevelOptions lo;
+  lo.num_levels = 1;
+  const auto levels = nsu3d::build_levels(m, lo);
+  const nsu3d::Level& lvl = levels[0];
+  ASSERT_GT(lvl.lines.longest(), 2);
+  euler::FlowConditions fc;
+  fc.mach = 0.75;
+  fc.reynolds = 3e6;
+  const auto phys = wing_physics(fc);
+  const nsu3d::Nsu3dOptions opt;
+  const auto u0 = wing_state(lvl, phys);
+  std::vector<nsu3d::State> f(u0.size());
+  for (std::size_t i = 0; i < f.size(); ++i)
+    for (std::size_t c = 0; c < 6; ++c)
+      f[i][c] = 1e-3 * std::cos(real_t(5 * i + c));
+  const std::size_t n = u0.size();
+  using nsu3d::kernels::kSumStride;
+
+  Xoshiro256 rng(20261019);
+  for (int trial = 0; trial < 3; ++trial) {
+    // Whole lines to random parts; the first lines seed every part.
+    const std::size_t nparts = 2 + std::size_t(rng.below(3));
+    std::vector<index_t> part(n, 0);
+    const auto& lines = lvl.lines.lines;
+    for (std::size_t li = 0; li < lines.size(); ++li) {
+      const index_t p = index_t(li < nparts ? li : rng.below(nparts));
+      for (const index_t v : lines[li]) part[std::size_t(v)] = p;
+    }
+    ASSERT_TRUE(nsu3d::lines_unbroken(lvl, part));
+
+    for (int threads : {1, 3}) {
+      smp::set_global_threads(threads);
+      nsu3d::kernels::Scratch whole;
+      std::vector<nsu3d::State> r_whole;
+      nsu3d::kernels::residual(lvl, phys, 0, u0, true, whole, r_whole);
+      nsu3d::kernels::smoother_blocks(lvl, phys, opt.cfl, u0, whole);
+      std::vector<nsu3d::State> u_whole = u0;
+      nsu3d::kernels::line_sweep(lvl, phys, opt.relax, f, r_whole, whole,
+                                 u_whole);
+
+      for (std::size_t p = 0; p < nparts; ++p) {
+        std::vector<char> owned(n, 0);
+        for (std::size_t v = 0; v < n; ++v) owned[v] = part[v] == index_t(p);
+        nsu3d::kernels::Scratch sub;
+        sub.set_owned(lvl, owned);
+        ASSERT_TRUE(sub.subset());
+        ASSERT_GT(sub.ring.size(), sub.rows.size());
+        std::vector<nsu3d::State> r_sub;
+        nsu3d::kernels::residual(lvl, phys, 0, u0, true, sub, r_sub);
+        nsu3d::kernels::smoother_blocks(lvl, phys, opt.cfl, u0, sub);
+        std::vector<nsu3d::State> u_sub = u0;
+        nsu3d::kernels::line_sweep(lvl, phys, opt.relax, f, r_sub, sub,
+                                   u_sub);
+        std::size_t moved = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto where = [&] {
+            return "trial " + std::to_string(trial) + " parts " +
+                   std::to_string(nparts) + " part " + std::to_string(p) +
+                   " t=" + std::to_string(threads) + " node " +
+                   std::to_string(i);
+          };
+          if (!owned[i]) {
+            ASSERT_EQ(u_sub[i], u0[i]) << where();
+            continue;
+          }
+          moved += u_sub[i] != u0[i];
+          ASSERT_EQ(r_sub[i], r_whole[i]) << where();
+          ASSERT_EQ(u_sub[i], u_whole[i]) << where();
+          ASSERT_EQ(sub.diag[i].a, whole.diag[i].a) << where();
+          ASSERT_EQ(sub.diag_sa[i], whole.diag_sa[i]) << where();
+          for (std::size_t c = 0; c < kSumStride; ++c)
+            ASSERT_EQ(sub.sums[i * kSumStride + c],
+                      whole.sums[i * kSumStride + c])
+                << where() << " sum " << c;
+        }
+        EXPECT_GT(moved, sub.rows.size() / 2);
+      }
+    }
+  }
+}
+
 TEST(Nsu3dSoA, HaloStrategiesBitIdenticalWithPackedComponents) {
   // The component-major halo packing reorders only copies; both exchange
   // strategies must still deliver bit-identical residuals.

@@ -16,7 +16,9 @@
 #include "mesh/builders.hpp"
 #include "nsu3d/solver.hpp"
 #include "obs/obs.hpp"
+#include "smp/owners.hpp"
 #include "smp/pool.hpp"
+#include "support/random.hpp"
 
 namespace columbia {
 namespace {
@@ -95,19 +97,24 @@ TEST(ThreadEquivalence, Nsu3dUncoloredHistoryBitIdentical) {
 /// The owner-list invariant for edges (a[e], b[e]) over `nv` vertices: the
 /// parts tile [0, nv) in order, and part p lists, in ascending edge index,
 /// exactly the edges with an endpoint in its range, flagged with the sides
-/// it owns — so each edge is listed once per owner.
+/// it owns — so each edge is listed once per owner. With a vertex subset
+/// only subset vertices have an owner, and edges touching none are absent.
 void expect_owner_lists(std::size_t nv, const std::vector<index_t>& ea,
-                        const std::vector<index_t>& eb, int parts) {
+                        const std::vector<index_t>& eb, int parts,
+                        const std::vector<index_t>& subset = {}) {
   using O = smp::EdgeOwners;
   O own;
-  own.build(nv, ea, eb, parts);
+  own.build(nv, ea, eb, parts, subset);
   const std::size_t np = std::size_t(parts);
   ASSERT_EQ(own.vertex_begin.size(), np + 1);
   EXPECT_EQ(own.vertex_begin.front(), 0);
   EXPECT_EQ(std::size_t(own.vertex_begin.back()), nv);
   for (std::size_t p = 0; p < np; ++p)
     ASSERT_LE(own.vertex_begin[p], own.vertex_begin[p + 1]);
+  std::vector<char> in(nv, subset.empty() ? 1 : 0);
+  for (const index_t v : subset) in[std::size_t(v)] = 1;
   auto owner = [&](index_t v) {
+    if (!in[std::size_t(v)]) return np;  // nobody's
     std::size_t p = 0;
     while (v >= own.vertex_begin[p + 1]) ++p;
     return p;
@@ -128,8 +135,11 @@ void expect_owner_lists(std::size_t nv, const std::vector<index_t>& ea,
       ++listed[e];
     }
   }
-  for (std::size_t e = 0; e < ea.size(); ++e)
-    ASSERT_EQ(listed[e], owner(ea[e]) == owner(eb[e]) ? 1 : 2) << "edge " << e;
+  for (std::size_t e = 0; e < ea.size(); ++e) {
+    const std::size_t oa = owner(ea[e]), ob = owner(eb[e]);
+    const int want = (oa < np) + (ob < np && ob != oa);
+    ASSERT_EQ(listed[e], want) << "edge " << e;
+  }
 }
 
 cartesian::CartMesh small_sphere(int max_level) {
@@ -251,6 +261,34 @@ TEST(EdgeOwners, ListsEveryEdgeOncePerOwnerInAscendingOrder) {
       expect_owner_lists(std::size_t(lvl.num_nodes), lvl.edge_a, lvl.edge_b,
                          parts);
     }
+  }
+}
+
+TEST(EdgeOwners, VertexSubsetListsOnlyItsEdges) {
+  // The owner-computes fine level: a rank's threads split that rank's
+  // nodes; edges with no endpoint among them are not listed at all.
+  const auto m = small_wing();
+  nsu3d::LevelOptions lo;
+  lo.num_levels = 1;
+  const nsu3d::Level lvl = nsu3d::build_levels(m, lo)[0];
+  const std::size_t nv = std::size_t(lvl.num_nodes);
+  Xoshiro256 rng(42);
+  for (const double keep : {0.1, 0.5, 0.9}) {
+    std::vector<index_t> subset;
+    for (std::size_t v = 0; v < nv; ++v)
+      if (rng.uniform() < keep) subset.push_back(index_t(v));
+    for (int parts = 1; parts <= 4; ++parts) {
+      SCOPED_TRACE(testing::Message() << "keep " << keep << " parts " << parts);
+      expect_owner_lists(nv, lvl.edge_a, lvl.edge_b, parts, subset);
+    }
+    // A one-part sweep over a subset visits its listed edges only (no
+    // whole-graph shortcut).
+    smp::EdgeOwners own;
+    own.build(nv, lvl.edge_a, lvl.edge_b, 1, subset);
+    std::size_t visits = 0;
+    smp::for_edges_owned(own, [&](std::size_t, auto, auto) { ++visits; });
+    EXPECT_EQ(visits, own.entries.size());
+    EXPECT_LT(visits, lvl.edges.size());
   }
 }
 
