@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "euler/lanes.hpp"
 #include "geom/components.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
@@ -66,6 +67,7 @@ Reporter::~Reporter() {
   w.kv("obs_compiled", bi.obs_compiled);
   w.kv("columbia_threads", std::int64_t(smp::env_threads()));
   w.kv("hardware_threads", std::int64_t(hardware_threads()));
+  w.kv("simd", euler::lanes_isa());  // the dispatched face-kernel ISA
   w.end_object();
   w.key("meta");
   w.begin_object();

@@ -15,7 +15,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "cart3d/solver.hpp"
 #include "euler/flux.hpp"
 #include "euler/jacobian.hpp"
+#include "euler/lanes.hpp"
 #include "geom/components.hpp"
 #include "graph/partition.hpp"
 #include "graph/rcm.hpp"
@@ -470,6 +473,75 @@ std::vector<double> time_widths_ns(const std::vector<int>& widths, Fn&& fn) {
 /// flow rather than the freestream initial state.
 constexpr int kDevelopCycles = 40;
 
+/// Face states for the euler_roe_flux rows, component-major so both
+/// instantiations read their operands with unit stride: the rows time the
+/// flux arithmetic, not a gather.
+struct FluxBatch {
+  static constexpr std::size_t kFaces = 4096;
+  std::vector<real_t> l[5], r[5], n[3], f[5];
+
+  FluxBatch() {
+    std::mt19937_64 rng(5);
+    std::uniform_real_distribution<real_t> u(-1, 1);
+    for (std::size_t i = 0; i < kFaces; ++i) {
+      for (auto* w : {l, r}) {
+        w[0].push_back(1 + 0.5 * u(rng));
+        for (int c = 1; c < 4; ++c) w[c].push_back(0.5 * u(rng));
+        w[4].push_back(0.7 + 0.3 * u(rng));
+      }
+      const int axis = int(rng() % 3);
+      for (int d = 0; d < 3; ++d) n[d].push_back(d == axis ? 1.0 : 0.0);
+    }
+    for (auto& c : f) c.resize(kFaces);
+  }
+};
+
+void roe_fluxes_lanes1(FluxBatch& b) {
+  for (std::size_t i = 0; i < FluxBatch::kFaces; ++i) {
+    using P = euler::LanePrim<real_t>;
+    const auto f = euler::roe_flux(
+        P{b.l[0][i], {b.l[1][i], b.l[2][i], b.l[3][i]}, b.l[4][i]},
+        P{b.r[0][i], {b.r[1][i], b.r[2][i], b.r[3][i]}, b.r[4][i]},
+        euler::LaneVec3<real_t>{b.n[0][i], b.n[1][i], b.n[2][i]});
+    for (std::size_t c = 0; c < 5; ++c) b.f[c][i] = f[c];
+  }
+}
+
+#if COLUMBIA_LANES4
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace lanes4 {
+#include "euler/lane_kernels.inc"
+
+void roe_fluxes(FluxBatch& b) {
+  using euler::Lanes4;
+  for (std::size_t i = 0; i < FluxBatch::kFaces; i += 4) {
+    auto at = [&](const std::vector<real_t>& v) {
+      Lanes4 x;
+      std::memcpy(&x, v.data() + i, sizeof x);
+      return x;
+    };
+    using P = LanePrim<Lanes4>;
+    const auto f = roe_flux(
+        P{at(b.l[0]), {at(b.l[1]), at(b.l[2]), at(b.l[3])}, at(b.l[4])},
+        P{at(b.r[0]), {at(b.r[1]), at(b.r[2]), at(b.r[3])}, at(b.r[4])},
+        LaneVec3<Lanes4>{at(b.n[0]), at(b.n[1]), at(b.n[2])});
+    for (std::size_t c = 0; c < 5; ++c)
+      std::memcpy(b.f[c].data() + i, &f[c], sizeof f[c]);
+  }
+}
+}  // namespace lanes4
+#pragma GCC pop_options
+#endif
+
+/// The Roe flux instantiation Cart3D's face sweeps dispatch to.
+void roe_fluxes_dispatched(FluxBatch& b) {
+#if COLUMBIA_LANES4
+  if (euler::lanes4_supported()) return lanes4::roe_fluxes(b);
+#endif
+  roe_fluxes_lanes1(b);
+}
+
 struct KernelRow {
   std::string kernel;
   int threads = 1;
@@ -609,6 +681,23 @@ int run_kernels_json(const std::string& path) {
     }
   }
 
+  // --- Roe's flux alone: the one-lane and the dispatched instantiation. ---
+  {
+    FluxBatch b;
+    const double faces = double(FluxBatch::kFaces);
+    auto row = [&](const char* name, auto&& fn) {
+      const double ns = time_kernel_ns([&] {
+        fn(b);
+        benchmark::DoNotOptimize(b.f[0].data());
+        benchmark::ClobberMemory();
+      });
+      rows.push_back({name, 1, ns / faces, 1, 0});
+      std::printf("%s t=1: %.1f ns/flux\n", name, ns / faces);
+    };
+    row("euler_roe_flux_lanes1", roe_fluxes_lanes1);
+    row("euler_roe_flux_dispatched", roe_fluxes_dispatched);
+  }
+
   // Same schema as before (bench/hardware_threads/note/kernels), emitted
   // through the shared obs JSON writer the harness --json reports use.
   std::ofstream f(path);
@@ -627,11 +716,13 @@ int run_kernels_json(const std::string& path) {
   w.kv("obs_compiled", bi.obs_compiled);
   w.kv("columbia_threads", std::int64_t(smp::env_threads()));
   w.kv("hardware_threads", std::int64_t(hardware_threads()));
+  w.kv("simd", euler::lanes_isa());
   w.end_object();
   w.kv("hardware_threads",
        std::uint64_t(std::thread::hardware_concurrency()));
   w.kv("note",
-       "ns_per_edge is wall time per edge (NSU3D) or per face (Cart3D); "
+       "ns_per_edge is wall time per edge (NSU3D), per face (Cart3D) or "
+       "per flux (euler_roe_flux_*; _dispatched runs provenance.simd); "
        "speedup_vs_seed compares against a replica of the pre-workspace "
        "serial kernel; speedup_vs_seed 0 means no seed baseline; "
        "nsu3d_* phase rows time the public SoA phase kernels serially; "

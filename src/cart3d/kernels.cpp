@@ -1,10 +1,14 @@
 #include "cart3d/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "smp/owners.hpp"
 #include "smp/pool.hpp"
+#include "support/assert.hpp"
 
 namespace columbia::cart3d::kernels {
 
@@ -51,20 +55,6 @@ std::array<real_t, 5> prim_array(const Prim& w) {
 
 Prim prim_from_array(const std::array<real_t, 5>& q) {
   return {q[0], {q[1], q[2], q[3]}, q[4]};
-}
-
-template <euler::FluxScheme S>
-Cons scheme_flux(const Prim& l, const Prim& r, const Vec3& n) {
-  if constexpr (S == euler::FluxScheme::Roe) return euler::roe_flux(l, r, n);
-  if constexpr (S == euler::FluxScheme::VanLeer)
-    return euler::van_leer_flux(l, r, n);
-  return euler::rusanov_flux(l, r, n);
-}
-
-real_t venkat(real_t dplus, real_t dq, real_t eps2) {
-  const real_t num = (dplus * dplus + eps2) + 2.0 * dplus * dq;
-  const real_t den = dplus * dplus + 2.0 * dq * dq + dplus * dq + eps2;
-  return den > 0 ? num / den : 1.0;
 }
 
 }  // namespace
@@ -193,15 +183,13 @@ const smp::EdgeOwners& face_owners(const LevelGeom& g, Scratch& s) {
 
 namespace {
 
-// Face-sweep bodies for one face, templated on the sides the calling task
-// owns (smp::for_edges_owned): a side's cell block is written only when
-// its tag is set. No __restrict on the block pointers: with it GCC
-// vectorizes the 5-wide component loops, and that code measured ~10%
-// slower than the scalar loops on the 1,112-cell sweep mesh.
-
-/// LSQ rhs and neighbor min/max for one face: both accumulate per cell in
-/// face order, exactly as the two scalar sweeps did; they write disjoint
-/// arrays.
+/// LSQ rhs and neighbor min/max for one face, templated on the sides the
+/// calling task owns (smp::for_edges_owned): a side's cell block is written
+/// only when its tag is set. Both accumulate per cell in face order, exactly
+/// as the two scalar sweeps did; they write disjoint arrays. No __restrict
+/// on the block pointers: with it GCC vectorizes the 5-wide component
+/// loops, and that code measured ~10% slower than the scalar loops on the
+/// 1,112-cell sweep mesh.
 template <bool A, bool B>
 inline void lsq_minmax_face(real_t* ra, real_t* rbv, real_t* bl, real_t* br,
                             const real_t* pa, const real_t* pbv, real_t dx,
@@ -226,72 +214,68 @@ inline void lsq_minmax_face(real_t* ra, real_t* rbv, real_t* bl, real_t* br,
   }
 }
 
-/// One face side of the Venkatakrishnan limiter: the directional
-/// differences g . d (same association as geom::dot) into `fd` — the
-/// face's half for this side, reused bitwise by the reconstruction — then
-/// phi = min(phi, venkat) per component.
-inline void limit_side(real_t* fd, real_t* phi, const real_t* g,
-                       const real_t* p, real_t eps2, real_t dx, real_t dy,
-                       real_t dz) {
-  for (std::size_t c = 0; c < 5; ++c)
-    fd[c] = (g[c] * dx + g[5 + c] * dy) + g[10 + c] * dz;
-  for (std::size_t c = 0; c < 5; ++c) {
-    const real_t dq = fd[c];
-    real_t lim = 1.0;
-    if (dq > 1e-14)
-      lim = venkat(g[20 + c] - p[c], dq, eps2);
-    else if (dq < -1e-14)
-      lim = venkat(p[c] - g[15 + c], -dq, eps2);
-    phi[c] = std::min(phi[c], lim);
-  }
+// The limiter and flux sweeps, one face per lane (cart3d/face_sweeps.inc):
+// one lane on the default target, four in an AVX2 region.
+namespace lanes1 {
+using euler::LanePrim;
+using euler::LaneVec3;
+using euler::roe_flux;
+using euler::venkat_side;
+#include "cart3d/face_sweeps.inc"
+}  // namespace lanes1
+
+#if COLUMBIA_LANES4
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace lanes4 {
+#include "euler/lane_kernels.inc"
+#include "cart3d/face_sweeps.inc"
+}  // namespace lanes4
+#pragma GCC pop_options
+#endif
+
+/// Limiter sweep: four faces per step when `wide` (AVX2), else one.
+void limit_faces(const LevelGeom& g, const smp::EdgeOwners& own, Scratch& s,
+                 bool wide) {
+#if COLUMBIA_LANES4
+  if (wide) return lanes4::limit_faces<euler::Lanes4>(g, own, s);
+#endif
+  lanes1::limit_faces<real_t>(g, own, s);
 }
 
-/// Interior-face flux sweep. Both owners of a face cut by the split
-/// evaluate its flux; each adds it into its own cell only.
-template <euler::FluxScheme S>
+/// Interior-face flux sweep: four faces per step when `wide` (AVX2; Roe's
+/// flux only), else one.
 void flux_faces(const LevelGeom& g, const smp::EdgeOwners& own,
-                const Scratch& s, bool second_order, std::vector<Cons>& res) {
-  const real_t* const pb = s.pb.data();
-  const real_t* const ph = s.ph.data();
-  const real_t* const fdq = s.fdq.data();
-  const Prim* const w = s.w.data();
-  Cons* const r = res.data();
-  smp::for_edges_owned(own, [&](std::size_t e, auto own_a, auto own_b) {
-    const std::size_t a = std::size_t(g.fl[e]);
-    const std::size_t b = std::size_t(g.fr[e]);
-    const Vec3 nrm = axis_normal(g.axis[e]);
-    Prim wl = w[a], wr = w[b];
-    if (second_order) {
-      const real_t* const pa = pb + a * kPrimStride;
-      const real_t* const pbv = pb + b * kPrimStride;
-      const real_t* const pha = ph + a * kPhiStride;
-      const real_t* const phb = ph + b * kPhiStride;
-      const real_t* const fd = fdq + e * kFdqStride;
-      std::array<real_t, 5> ql, qr;
-      for (std::size_t c = 0; c < 5; ++c) {
-        ql[c] = pa[c] + pha[c] * fd[c];
-        qr[c] = pbv[c] + phb[c] * fd[5 + c];
-      }
-      // Exact inverse of the scalar guard (q[0] <= 0 || q[4] <= 0 falls
-      // back to the cell mean) so NaN reconstructions take the same path.
-      if (!(ql[0] <= 0 || ql[4] <= 0)) wl = prim_from_array(ql);
-      if (!(qr[0] <= 0 || qr[4] <= 0)) wr = prim_from_array(qr);
-    }
-    const Cons flux = scheme_flux<S>(wl, wr, nrm);
-    const real_t ar = g.area[e];
-    for (std::size_t c = 0; c < 5; ++c) {
-      const real_t fc = ar * flux[c];
-      if constexpr (decltype(own_a)::value) r[a][c] += fc;
-      if constexpr (decltype(own_b)::value) r[b][c] -= fc;
-    }
-  });
+                const Scratch& s, bool second_order, bool wide,
+                euler::FluxScheme scheme, std::vector<Cons>& res) {
+  using euler::FluxScheme;
+  switch (scheme) {
+    case FluxScheme::Roe:
+#if COLUMBIA_LANES4
+      if (wide)
+        return lanes4::flux_faces<euler::Lanes4, FluxScheme::Roe>(
+            g, own, s, second_order, res);
+#endif
+      return lanes1::flux_faces<real_t, FluxScheme::Roe>(g, own, s,
+                                                         second_order, res);
+    case FluxScheme::VanLeer:
+      return lanes1::flux_faces<real_t, FluxScheme::VanLeer>(
+          g, own, s, second_order, res);
+    case FluxScheme::Rusanov:
+      return lanes1::flux_faces<real_t, FluxScheme::Rusanov>(
+          g, own, s, second_order, res);
+  }
 }
 
 }  // namespace
 
+int face_lanes() { return euler::lanes4_supported() ? 4 : 1; }
+
 void residual(const LevelGeom& g, const CartMesh& m, const Prim& freestream,
               euler::FluxScheme scheme, std::span<const Cons> u,
-              bool second_order, Scratch& s, std::vector<Cons>& res) {
+              bool second_order, Scratch& s, std::vector<Cons>& res,
+              int lanes) {
+  COLUMBIA_REQUIRE(lanes == 1 || (lanes == 4 && euler::lanes4_supported()));
   const std::size_t n = g.cells;
   s.resize(g, second_order);
   res.resize(n);
@@ -329,6 +313,7 @@ void residual(const LevelGeom& g, const CartMesh& m, const Prim& freestream,
   });
 
   const smp::EdgeOwners& own = face_owners(g, s);
+  const bool wide = lanes == 4;
   if (second_order) {
     // LSQ rhs + neighbor min/max, fused into one owner-writes face sweep.
     const real_t* const dabx = g.dabx.data();
@@ -365,37 +350,10 @@ void residual(const LevelGeom& g, const CartMesh& m, const Prim& freestream,
 
     // Venkatakrishnan limiter sweep. Each side's owner caches that side's
     // half of the face's directional differences for the reconstruction.
-    const real_t* const eps2 = g.eps2.data();
-    real_t* const fdq = s.fdq.data();
-    smp::for_edges_owned(own, [&](std::size_t e, auto own_a, auto own_b) {
-      real_t* const fd = fdq + e * kFdqStride;
-      if constexpr (decltype(own_a)::value) {
-        const std::size_t a = std::size_t(g.fl[e]);
-        limit_side(fd, ph + a * kPhiStride, gb + a * kGradStride,
-                   pb + a * kPrimStride, eps2[a], g.dlx[e], g.dly[e],
-                   g.dlz[e]);
-      }
-      if constexpr (decltype(own_b)::value) {
-        const std::size_t b = std::size_t(g.fr[e]);
-        limit_side(fd + 5, ph + b * kPhiStride, gb + b * kGradStride,
-                   pb + b * kPrimStride, eps2[b], g.drx[e], g.dry[e],
-                   g.drz[e]);
-      }
-    });
+    limit_faces(g, own, s, wide);
   }
 
-  // Interior faces (scheme hoisted out of the sweep).
-  switch (scheme) {
-    case euler::FluxScheme::Roe:
-      flux_faces<euler::FluxScheme::Roe>(g, own, s, second_order, res);
-      break;
-    case euler::FluxScheme::VanLeer:
-      flux_faces<euler::FluxScheme::VanLeer>(g, own, s, second_order, res);
-      break;
-    case euler::FluxScheme::Rusanov:
-      flux_faces<euler::FluxScheme::Rusanov>(g, own, s, second_order, res);
-      break;
-  }
+  flux_faces(g, own, s, second_order, wide, scheme, res);
 
   // Domain (farfield) boundary faces: the fluxes in parallel into a
   // per-face buffer, then added in face order (a cell may have several).
@@ -548,11 +506,13 @@ void residual_reference(const CartMesh& m, const Prim& freestream,
         const real_t dq = dot(grad[std::size_t(i)][std::size_t(c)], to_face);
         real_t lim = 1.0;
         if (dq > 1e-14)
-          lim = venkat(qmax[std::size_t(i)][std::size_t(c)] - qi[std::size_t(c)],
-                       dq, eps2);
+          lim = euler::venkat(
+              qmax[std::size_t(i)][std::size_t(c)] - qi[std::size_t(c)], dq,
+              eps2);
         else if (dq < -1e-14)
-          lim = venkat(qi[std::size_t(c)] - qmin[std::size_t(i)][std::size_t(c)],
-                       -dq, eps2);
+          lim = euler::venkat(
+              qi[std::size_t(c)] - qmin[std::size_t(i)][std::size_t(c)], -dq,
+              eps2);
         phi[std::size_t(i)][std::size_t(c)] =
             std::min(phi[std::size_t(i)][std::size_t(c)], lim);
       }

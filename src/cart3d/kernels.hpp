@@ -13,7 +13,9 @@
 // face and reused bitwise by the reconstruction (identical expression,
 // identical inputs). Every face sweep is owner-writes (smp/owners.hpp):
 // one pool task per contiguous cell range adds only into its own cells,
-// in ascending face order.
+// in ascending face order. The limiter and Roe flux sweeps evaluate four
+// faces per step on CPUs with AVX2 (cart3d/face_sweeps.inc) and scatter
+// lane by lane in that same order.
 //
 // Bit-identity contract: every kernel performs exactly the arithmetic of
 // the retained scalar reference (residual_reference below) in the same
@@ -93,12 +95,17 @@ struct Scratch {
 /// pool width or the level's size no longer match it.
 const smp::EdgeOwners& face_owners(const LevelGeom& g, Scratch& s);
 
+/// Faces per step of the interior-face limiter and Roe flux sweeps on this
+/// CPU: 4 where it runs AVX2 (euler::lanes4_supported()), else 1.
+int face_lanes();
+
 /// Full second-/first-order residual against the precomputed geometry.
-/// Bit-identical to residual_reference for every thread count.
+/// Bit-identical to residual_reference for every thread count and for
+/// `lanes` 1 and 4 (4 needs AVX2; other schemes than Roe run one lane).
 void residual(const LevelGeom& g, const cartesian::CartMesh& m,
               const Prim& freestream, euler::FluxScheme scheme,
               std::span<const Cons> u, bool second_order, Scratch& s,
-              std::vector<Cons>& res);
+              std::vector<Cons>& res, int lanes = face_lanes());
 
 /// Local time-step denominators sum(|lambda| A) per cell of state `u` —
 /// interior faces, then domain boundary faces, then the embedded wall —

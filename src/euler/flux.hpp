@@ -12,25 +12,36 @@
 // register allocation of an out-of-line call are measurable. The inline
 // bodies are the single definition — the out-of-line dispatch in flux.cpp
 // wraps these same functions, so both entry points produce bit-identical
-// values.
+// values. Roe's flux (with the physical flux and the Venkatakrishnan
+// limiter) is lane-generic, euler/lane_kernels.inc: Cart3D's face sweeps
+// evaluate it four faces at a time, every other caller one.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
+#include "euler/lanes.hpp"
 #include "euler/state.hpp"
 
 namespace columbia::euler {
 
 enum class FluxScheme { Roe, VanLeer, Rusanov };
 
+#include "euler/lane_kernels.inc"
+
+namespace detail {
+
+inline LanePrim<real_t> lane_prim(const Prim& w) {
+  return {w.rho, {w.vel.x, w.vel.y, w.vel.z}, w.p};
+}
+inline LaneVec3<real_t> lane_vec(const geom::Vec3& n) { return {n.x, n.y, n.z}; }
+
+}  // namespace detail
+
 /// Physical (analytic) flux through unit normal n.
 inline Cons physical_flux(const Prim& w, const geom::Vec3& n) {
-  const real_t un = dot(w.vel, n);
-  const real_t rho_un = w.rho * un;
-  const real_t e = w.p / (kGamma - 1) + 0.5 * w.rho * dot(w.vel, w.vel);
-  return {rho_un, rho_un * w.vel.x + w.p * n.x, rho_un * w.vel.y + w.p * n.y,
-          rho_un * w.vel.z + w.p * n.z, un * (e + w.p)};
+  return physical_flux(detail::lane_prim(w), detail::lane_vec(n));
 }
 
 /// Spectral radius |u.n| + a: the wave-speed bound used in time steps.
@@ -38,80 +49,10 @@ inline real_t spectral_radius(const Prim& w, const geom::Vec3& unit_n) {
   return std::abs(dot(w.vel, unit_n)) + w.sound_speed();
 }
 
-namespace detail {
-
-inline real_t total_enthalpy(const Prim& w) {
-  return kGamma / (kGamma - 1) * w.p / w.rho + 0.5 * dot(w.vel, w.vel);
-}
-
-}  // namespace detail
-
+/// Roe's flux: the one-lane instantiation of the lane-generic roe_flux.
 inline Cons roe_flux(const Prim& l, const Prim& r, const geom::Vec3& n) {
-  using geom::Vec3;
-  // Roe average.
-  const real_t sl = std::sqrt(l.rho), sr = std::sqrt(r.rho);
-  const real_t inv = 1.0 / (sl + sr);
-  const Vec3 vel = (sl * l.vel + sr * r.vel) * inv;
-  const real_t h =
-      (sl * detail::total_enthalpy(l) + sr * detail::total_enthalpy(r)) * inv;
-  const real_t q2 = dot(vel, vel);
-  const real_t a2 = (kGamma - 1) * (h - 0.5 * q2);
-  const real_t a = std::sqrt(std::max<real_t>(a2, 1e-12));
-  const real_t un = dot(vel, n);
-
-  // Wave strengths.
-  const real_t drho = r.rho - l.rho;
-  const real_t dp = r.p - l.p;
-  const Vec3 dvel = r.vel - l.vel;
-  const real_t dun = dot(dvel, n);
-
-  real_t lam1 = std::abs(un - a);
-  real_t lam2 = std::abs(un);
-  real_t lam3 = std::abs(un + a);
-  // Harten entropy fix on the nonlinear waves.
-  const real_t eps = 0.1 * a;
-  auto fix = [&](real_t lam) {
-    return lam < eps ? 0.5 * (lam * lam / eps + eps) : lam;
-  };
-  lam1 = fix(lam1);
-  lam3 = fix(lam3);
-
-  // Wave strengths use the Roe-averaged density rho_roe = sqrt(rho_l rho_r).
-  const real_t rho_roe = sl * sr;
-  const real_t w2 = lam2 * (drho - dp / a2);
-  const real_t w1r = lam1 * (dp - rho_roe * a * dun) / (2 * a2);
-  const real_t w3r = lam3 * (dp + rho_roe * a * dun) / (2 * a2);
-
-  // |A| dU assembled from the characteristic decomposition.
-  Cons diss{};
-  // Acoustic waves.
-  const Vec3 u_minus = vel - a * n;
-  const Vec3 u_plus = vel + a * n;
-  diss[0] += w1r + w3r;
-  diss[1] += w1r * u_minus.x + w3r * u_plus.x;
-  diss[2] += w1r * u_minus.y + w3r * u_plus.y;
-  diss[3] += w1r * u_minus.z + w3r * u_plus.z;
-  diss[4] += w1r * (h - a * un) + w3r * (h + a * un);
-  // Entropy wave.
-  diss[0] += w2;
-  diss[1] += w2 * vel.x;
-  diss[2] += w2 * vel.y;
-  diss[3] += w2 * vel.z;
-  diss[4] += w2 * 0.5 * q2;
-  // Shear waves.
-  const Vec3 dvt = dvel - dun * n;
-  diss[1] += lam2 * rho_roe * dvt.x;
-  diss[2] += lam2 * rho_roe * dvt.y;
-  diss[3] += lam2 * rho_roe * dvt.z;
-  diss[4] += lam2 * rho_roe * (dot(vel, dvel) - un * dun);
-
-  const Cons fl = physical_flux(l, n);
-  const Cons fr = physical_flux(r, n);
-  Cons f;
-  for (int i = 0; i < 5; ++i)
-    f[std::size_t(i)] =
-        0.5 * (fl[std::size_t(i)] + fr[std::size_t(i)]) - 0.5 * diss[std::size_t(i)];
-  return f;
+  return roe_flux(detail::lane_prim(l), detail::lane_prim(r),
+                  detail::lane_vec(n));
 }
 
 inline Cons van_leer_flux(const Prim& l, const Prim& r, const geom::Vec3& n) {

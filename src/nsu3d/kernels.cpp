@@ -76,12 +76,6 @@ euler::Cons scheme_flux(const Prim& l, const Prim& r, const Vec3& n) {
   return euler::rusanov_flux(l, r, n);
 }
 
-real_t venkat(real_t dplus, real_t dq, real_t eps2) {
-  const real_t num = (dplus * dplus + eps2) + 2.0 * dplus * dq;
-  const real_t den = dplus * dplus + 2.0 * dq * dq + dplus * dq + eps2;
-  return den > 0 ? num / den : 1.0;
-}
-
 // Edge-sweep inner bodies, hoisted into functions whose pointer parameters
 // carry __restrict: GCC honors parameter-level restrict without emitting
 // runtime alias-check loop versions (edge endpoints are distinct nodes, so
@@ -380,29 +374,21 @@ void limiter(const Level& lvl, Scratch& s) {
     // reconstruction reuses them bitwise instead of re-gathering the
     // gradients. Only side a's owner stores them; a task owning just side
     // b evaluates the identical expression into a local copy. The venkat
-    // pass stays scalar: the data-dependent branches skip the division
-    // entirely for near-constant components, which a branchless/vectorized
-    // form (measured) cannot.
+    // pass stays scalar (euler::venkat_side's one-lane instantiation, whose
+    // selects are branches): they skip the division entirely for
+    // near-constant components, which a branchless form (measured) cannot.
     real_t local[kEdqStride] = {};
     real_t* const ed = A ? edq + e * kEdqStride : local;
     limiter_dq(ed, ga, gbb, dxe, dye, dze);
     for (std::size_t c = 0; c < 6; ++c) {
       if constexpr (A) {
-        const real_t dqa = ed[c];
-        real_t lim_a = 1.0;
-        if (dqa > 1e-14)
-          lim_a = venkat(ga[24 + c] - pa[c], dqa, eps2);
-        else if (dqa < -1e-14)
-          lim_a = venkat(pa[c] - ga[18 + c], -dqa, eps2);
+        const real_t lim_a =
+            euler::venkat_side(ed[c], pa[c], ga[18 + c], ga[24 + c], eps2);
         pha[c] = std::min(pha[c], lim_a);
       }
       if constexpr (B) {
-        const real_t dqb = ed[6 + c];
-        real_t lim_b = 1.0;
-        if (dqb > 1e-14)
-          lim_b = venkat(gbb[24 + c] - pbv[c], dqb, eps2);
-        else if (dqb < -1e-14)
-          lim_b = venkat(pbv[c] - gbb[18 + c], -dqb, eps2);
+        const real_t lim_b = euler::venkat_side(ed[6 + c], pbv[c],
+                                                gbb[18 + c], gbb[24 + c], eps2);
         phb[c] = std::min(phb[c], lim_b);
       }
     }
@@ -1084,11 +1070,13 @@ void residual_reference(const Level& lvl, const Physics& phys, int level,
           const real_t dq = dot(grad[i][std::size_t(c)], d);
           real_t lim = 1.0;
           if (dq > 1e-14)
-            lim = venkat(qmax[i][std::size_t(c)] - prim_scalar(w[i], nut[i], c),
-                         dq, eps2);
+            lim = euler::venkat(
+                qmax[i][std::size_t(c)] - prim_scalar(w[i], nut[i], c), dq,
+                eps2);
           else if (dq < -1e-14)
-            lim = venkat(prim_scalar(w[i], nut[i], c) - qmin[i][std::size_t(c)],
-                         -dq, eps2);
+            lim = euler::venkat(
+                prim_scalar(w[i], nut[i], c) - qmin[i][std::size_t(c)], -dq,
+                eps2);
           phi[i][std::size_t(c)] = std::min(phi[i][std::size_t(c)], lim);
         }
       }

@@ -677,6 +677,16 @@ int run_gate(const Options& opt, const JsonValue& current,
         << current.string_or("bench", "") << "'\n";
     return kUsage;
   }
+  // Timings from different dispatched kernel ISAs (bench provenance
+  // "simd") time different code: say so rather than compare blindly.
+  auto simd_of = [](const JsonValue& doc) {
+    const JsonValue* p = doc.find("provenance");
+    return p == nullptr ? std::string("?") : p->string_or("simd", "?");
+  };
+  if (simd_of(baseline) != simd_of(current))
+    err << "columbia_report: warning: baseline measured with simd="
+        << simd_of(baseline) << ", current with simd=" << simd_of(current)
+        << "\n";
   GateResult g;
   if (bname == "micro_kernels")
     gate_micro_kernels(g, baseline, current, opt.tolerance);

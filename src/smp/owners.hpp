@@ -94,4 +94,20 @@ void for_edges_owned(const EdgeOwners& own, Fn&& body) {
       });
 }
 
+/// Runs `body(entries, count)` once per owner part, as ONE pool job with
+/// one task per part: `entries` points at the part's `count` owner-list
+/// entries, in ascending edge order. For sweeps that take several entries
+/// per step and decode them themselves (Cart3D's lane sweeps); a body
+/// writes an endpoint only when the entry's kOwnA / kOwnB bit is set.
+template <class Fn>
+void for_owner_parts(const EdgeOwners& own, Fn&& body) {
+  const std::size_t* const off = own.offsets.data();
+  const std::uint32_t* const ent = own.entries.data();
+  ThreadPool::global().parallel_for(
+      0, std::size_t(own.parts), 1, [&](std::size_t pb, std::size_t pe, int) {
+        for (std::size_t p = pb; p < pe; ++p)
+          body(ent + off[p], off[p + 1] - off[p]);
+      });
+}
+
 }  // namespace columbia::smp

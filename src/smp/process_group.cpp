@@ -1,7 +1,9 @@
 #include "smp/process_group.hpp"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -138,6 +140,54 @@ obs::ShardClock to_shard_clock(const core::ClockEstimate& est) {
   ::_exit(code);
 }
 
+/// The ranks' pidfds, which turn readable when a rank exits: the
+/// supervision loop waits on them, so an exit wakes it at once instead of
+/// at the end of its nap. Empty when the kernel has no pidfd_open; wait()
+/// then sleeps for the whole timeout.
+class ExitWatch {
+ public:
+  explicit ExitWatch(const std::vector<pid_t>& pids) {
+#ifdef SYS_pidfd_open
+    for (const pid_t pid : pids) {
+      const int fd = int(::syscall(SYS_pidfd_open, pid, 0));
+      if (fd < 0) {
+        close_all();
+        return;
+      }
+      fds_.push_back(fd);
+    }
+    polled_.reserve(fds_.size());
+#else
+    (void)pids;
+#endif
+  }
+  ~ExitWatch() { close_all(); }
+  ExitWatch(const ExitWatch&) = delete;
+  ExitWatch& operator=(const ExitWatch&) = delete;
+
+  /// Waits up to `ms` for a rank not yet reaped (pids[r] >= 0) to exit.
+  void wait(const std::vector<pid_t>& pids, int ms) {
+    if (fds_.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+      return;
+    }
+    polled_.clear();
+    for (std::size_t r = 0; r < pids.size(); ++r)
+      if (pids[r] >= 0) polled_.push_back({fds_[r], POLLIN, 0});
+    // An interrupted poll returns early; the caller's loop re-checks.
+    ::poll(polled_.data(), nfds_t(polled_.size()), ms);
+  }
+
+ private:
+  void close_all() {
+    for (const int fd : fds_) ::close(fd);
+    fds_.clear();
+  }
+
+  std::vector<int> fds_;
+  std::vector<pollfd> polled_;
+};
+
 }  // namespace
 
 const char* group_backend_name(GroupBackend b) {
@@ -184,6 +234,7 @@ GroupResult ProcessGroup::run(const ProcessGroupOptions& opts,
   res.members.resize(std::size_t(opts.ranks));
 
   // Supervision loop: reap exits, watch heartbeat freshness.
+  ExitWatch exits(pids);
   const auto start = Clock::now();
   std::vector<std::uint64_t> last_beat(std::size_t(opts.ranks), 0);
   std::vector<Clock::time_point> last_change(std::size_t(opts.ranks), start);
@@ -236,8 +287,7 @@ GroupResult ProcessGroup::run(const ProcessGroupOptions& opts,
       for (int r = 0; r < opts.ranks; ++r)
         if (pids[std::size_t(r)] >= 0) ::kill(pids[std::size_t(r)], SIGKILL);
     }
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(std::min(opts.heartbeat_ms, 20)));
+    exits.wait(pids, std::min(opts.heartbeat_ms, 20));
   }
 
   for (int r = 0; r < opts.ranks; ++r) {
