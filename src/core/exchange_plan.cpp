@@ -15,7 +15,7 @@ namespace columbia::core {
 
 namespace {
 
-/// Same attempt cap as smp::hybrid: a sender never injects into more than
+/// Fault-injection attempt cap: a sender never injects into more than
 /// kMaxHaloAttempts - 1 attempts of one message, so the final attempt is
 /// always clean and every exchange terminates with the original payload.
 constexpr int kMaxHaloAttempts = 4;
@@ -34,8 +34,6 @@ ExchangePlan::ExchangePlan(RequestLists requests, ExchangePlanOptions options)
     COLUMBIA_REQUIRE(opt_.wire.deadline_ms >= 1);
     COLUMBIA_REQUIRE(opt_.wire.backoff_base_ms >= 0);
     COLUMBIA_REQUIRE(opt_.wire.backoff_max_ms >= opt_.wire.backoff_base_ms);
-    COLUMBIA_REQUIRE(opt_.active_members >= 0);
-    COLUMBIA_REQUIRE(opt_.sender_active_members >= 0);
   }
   const bool master = opt_.strategy == ExchangeStrategy::MasterThread;
   const index_t tpp = master ? index_t(opt_.threads_per_process) : 1;
@@ -44,13 +42,13 @@ ExchangePlan::ExchangePlan(RequestLists requests, ExchangePlanOptions options)
   auto rank_of = [&](index_t part) { return part / tpp; };
 
   // Message layouts, keyed (sender rank, receiver rank). Iterating the
-  // receivers' request lists in order reproduces the legacy strategies'
-  // deterministic packing: smp::exchange_* builds its send lists the same
-  // way and unpacks with per-sender cursors, so pack[i] -> unpack[i] here
-  // lands each value in exactly the slot the legacy API fills.
+  // receivers' request lists in order gives each channel a deterministic
+  // packing, and pack[i] -> unpack[i] lands every value in its request
+  // slot.
   std::map<std::pair<index_t, index_t>, Channel> channels;
   ghost_items_.assign(std::size_t(nparts_), 0);
   neighbor_count_.assign(std::size_t(nparts_), 0);
+  max_item_.assign(std::size_t(nparts_), -1);
   for (index_t q = 0; q < nparts_; ++q) {
     const index_t qr = rank_of(q);
     std::set<index_t> senders;
@@ -58,6 +56,9 @@ ExchangePlan::ExchangePlan(RequestLists requests, ExchangePlanOptions options)
     for (std::size_t k = 0; k < reqs.size(); ++k) {
       const HaloRequest& r = reqs[k];
       COLUMBIA_REQUIRE(r.from_partition >= 0 && r.from_partition < nparts_);
+      COLUMBIA_REQUIRE(r.item >= 0);
+      index_t& top = max_item_[std::size_t(r.from_partition)];
+      top = std::max(top, r.item);
       if (r.from_partition != q) {
         ghost_items_[std::size_t(q)] += 1;
         senders.insert(r.from_partition);
@@ -103,10 +104,11 @@ void ExchangePlan::transmit(Channel& ch, std::uint64_t seq) {
   resil::FaultInjector& inj = resil::FaultInjector::global();
   // halo.xchg span attributes: each attempt records exactly one post span
   // (sender side) and one wait span (receiver side), so the observatory's
-  // k-th-post-to-k-th-wait matching survives retransmitted attempts. The
-  // plan runs both sides on the calling thread, so "wait" here is the
-  // validation cost, not a blocking mailbox wait (smp::hybrid records the
-  // genuine blocking flavor).
+  // k-th-post-to-k-th-wait matching survives retransmitted attempts. Both
+  // endpoints run on the calling thread — the in-process path, and on the
+  // wire a channel whose sender and receiver map to the same member — so
+  // "wait" here is the validation cost, not a blocking receive (wire_recv
+  // records the blocking flavor).
   const std::int64_t sender = std::int64_t(ch.sender);
   const std::int64_t receiver = std::int64_t(ch.receiver);
   const std::int64_t lvl = opt_.level;
@@ -191,21 +193,9 @@ void ExchangePlan::transmit(Channel& ch, std::uint64_t seq) {
 // for its copy of out_) fill the channel's slots from their own posted
 // data (local_validate).
 
-int ExchangePlan::recv_active() const {
-  const int n = opt_.transport->group_size();
-  return opt_.active_members > 0 ? std::min(opt_.active_members, n) : n;
-}
-
-int ExchangePlan::sender_active() const {
-  const int n = opt_.transport->group_size();
-  return opt_.sender_active_members > 0
-             ? std::min(opt_.sender_active_members, n)
-             : recv_active();
-}
-
-int ExchangePlan::member_of(index_t rank, bool sender_side) const {
-  const int n = sender_side ? sender_active() : recv_active();
-  return int(std::uint64_t(rank) % std::uint64_t(n));
+int ExchangePlan::member_of(index_t rank) const {
+  return int(std::uint64_t(rank) %
+             std::uint64_t(opt_.transport->group_size()));
 }
 
 void ExchangePlan::maybe_hang() {
@@ -446,7 +436,7 @@ void ExchangePlan::wire_send(std::uint32_t ci, Channel& ch, std::uint64_t seq,
                              bool first_sent) {
   Transport* t = opt_.transport;
   maybe_hang();
-  const int peer = member_of(ch.receiver, false);
+  const int peer = member_of(ch.receiver);
   int backoff = opt_.wire.backoff_base_ms;
   bool peer_answered = false;
   bool sent = first_sent;  // current attempt's frame already on the wire?
@@ -528,7 +518,7 @@ void ExchangePlan::wire_recv(std::uint32_t ci, Channel& ch,
                              std::uint64_t seq) {
   Transport* t = opt_.transport;
   maybe_hang();
-  const int peer = member_of(ch.sender, true);
+  const int peer = member_of(ch.sender);
   const std::int64_t sender = std::int64_t(ch.sender);
   const std::int64_t receiver = std::int64_t(ch.receiver);
   const std::int64_t lvl = opt_.level;
@@ -752,6 +742,9 @@ const PartitionData& ExchangePlan::exchange(const PartitionData& data) {
 void ExchangePlan::post(const PartitionData& data) {
   COLUMBIA_REQUIRE(!posted_);
   COLUMBIA_REQUIRE(index_t(data.size()) == nparts_);
+  for (index_t p = 0; p < nparts_; ++p)
+    COLUMBIA_REQUIRE(index_t(data[std::size_t(p)].size()) >
+                     max_item_[std::size_t(p)]);
   // The wire protocol needs every group member to stamp the same round
   // with the same sequence number. The injector's process-global counter
   // cannot provide that when several members share one process (the
@@ -795,8 +788,8 @@ void ExchangePlan::post(const PartitionData& data) {
     }
     if (opt_.transport == nullptr) continue;
     const int me = opt_.transport->group_rank();
-    const int send_member = member_of(ch.sender, true);
-    const int recv_member = member_of(ch.receiver, false);
+    const int send_member = member_of(ch.sender);
+    const int recv_member = member_of(ch.receiver);
     const bool self_wire = send_member == recv_member &&
                            send_member == me && opt_.wire.loopback_self;
     if ((send_member == me && recv_member != send_member) || self_wire) {
@@ -822,62 +815,41 @@ const PartitionData& ExchangePlan::finish() {
   // then scatter. The sender side resumes at its ack wait (attempt 0 left
   // in post()); receivers consume stashed frames before touching the
   // wire; everyone else fills locally.
-  auto complete = [&] {
-    for (std::size_t ci = 0; ci < channels_.size(); ++ci) {
-      Channel& ch = channels_[ci];
-      if (opt_.transport == nullptr) {
-        transmit(ch, seq);
+  for (std::size_t ci = 0; ci < channels_.size(); ++ci) {
+    Channel& ch = channels_[ci];
+    if (opt_.transport == nullptr) {
+      transmit(ch, seq);
+    } else {
+      const int me = opt_.transport->group_rank();
+      const int send_member = member_of(ch.sender);
+      const int recv_member = member_of(ch.receiver);
+      if (send_member == recv_member) {
+        if (send_member != me)
+          local_validate(ch);
+        else if (opt_.wire.loopback_self)
+          wire_loopback(std::uint32_t(ci), ch, seq, true);
+        else
+          transmit(ch, seq);
+      } else if (send_member == me) {
+        wire_send(std::uint32_t(ci), ch, seq, true);
+        // The sender's out_ still needs this channel's values.
+        local_validate(ch);
+      } else if (recv_member == me) {
+        wire_recv(std::uint32_t(ci), ch, seq);
       } else {
-        const int me = opt_.transport->group_rank();
-        const int send_member = member_of(ch.sender, true);
-        const int recv_member = member_of(ch.receiver, false);
-        if (send_member == recv_member) {
-          if (send_member != me)
-            local_validate(ch);
-          else if (opt_.wire.loopback_self)
-            wire_loopback(std::uint32_t(ci), ch, seq, true);
-          else
-            transmit(ch, seq);
-        } else if (send_member == me) {
-          wire_send(std::uint32_t(ci), ch, seq, true);
-          // The sender's out_ still needs this channel's values.
-          local_validate(ch);
-        } else if (recv_member == me) {
-          wire_recv(std::uint32_t(ci), ch, seq);
-        } else {
-          local_validate(ch);
-        }
-      }
-      {
-        obs::SpanGuard unpack(
-            "halo.xchg.unpack",
-            {{"rank", std::int64_t(ch.receiver)},
-             {"nbr", std::int64_t(ch.sender)},
-             {"level", lvl},
-             {"strat", strat},
-             {"bytes", std::int64_t(ch.unpack.size() * sizeof(real_t))}});
-        for (std::size_t i = 0; i < ch.unpack.size(); ++i)
-          out_[std::size_t(ch.unpack[i].part)]
-              [std::size_t(ch.unpack[i].pos)] = ch.recv[i];
+        local_validate(ch);
       }
     }
-  };
-
-  // A member outside the plan's active set never touches the wire: its
-  // whole completion pass is local fills, recorded as one
-  // cheap park span so the observatory can price agglomerated idling.
-  const bool parked =
-      opt_.transport != nullptr &&
-      opt_.transport->group_rank() >= std::max(recv_active(), sender_active());
-  if (parked) {
-    obs::SpanGuard park(
-        "halo.xchg.park",
-        {{"rank", std::int64_t(opt_.transport->group_rank())},
+    obs::SpanGuard unpack(
+        "halo.xchg.unpack",
+        {{"rank", std::int64_t(ch.receiver)},
+         {"nbr", std::int64_t(ch.sender)},
          {"level", lvl},
-         {"strat", strat}});
-    complete();
-  } else {
-    complete();
+         {"strat", strat},
+         {"bytes", std::int64_t(ch.unpack.size() * sizeof(real_t))}});
+    for (std::size_t i = 0; i < ch.unpack.size(); ++i)
+      out_[std::size_t(ch.unpack[i].part)][std::size_t(ch.unpack[i].pos)] =
+          ch.recv[i];
   }
 
   // Every channel of this round is delivered on this member; leftover

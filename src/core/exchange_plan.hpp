@@ -1,14 +1,13 @@
 // Persistent halo-exchange schedules (paper Figs. 6-7; FASTEST-3D-style
 // precomputed communication).
 //
-// The smp::hybrid strategies re-derive every pack list and reallocate
-// every buffer on each call — fine for validating the protocol, wrong for
-// a steady-state solver that exchanges the same halo thousands of times.
-// An ExchangePlan is built once per (partitioning, strategy): it
-// precomputes the per-neighbor message layouts (pack gather lists, unpack
-// scatter slots, intra-rank copies) and owns persistent send/receive
-// buffers sized at build, so steady-state exchanges perform ZERO heap
-// allocations (asserted in tests/test_core.cpp).
+// The one halo-exchange path of the repo. A steady-state solver exchanges
+// the same halo thousands of times, so an ExchangePlan is built once per
+// (partitioning, strategy): it precomputes the per-neighbor message
+// layouts (pack gather lists, unpack scatter slots, intra-rank copies) and
+// owns persistent send/receive buffers sized at build, so steady-state
+// exchanges perform ZERO heap allocations (asserted in
+// tests/test_core.cpp).
 //
 // Both hybrid strategies of paper Fig. 7 are plan policies:
 //
@@ -19,12 +18,12 @@
 //     one packed message and are scattered to the local partitions'
 //     request slots. Fewer, larger messages — NSU3D's strategy.
 //
-// Resilience semantics match smp::exchange_* exactly: every message
-// travels in a checksummed frame ([count, crc32, payload...]); faulted
-// frames (COLUMBIA_FAULTS halo_corrupt / halo_drop) are rejected and
-// retransmitted, bounded by the same attempt cap and drawing the same
-// deterministic fault sites halo_site(seq, sender, receiver, attempt).
-// Delivered values are therefore bit-identical to the legacy API with
+// Resilience: every message travels in a checksummed frame
+// ([count, crc32, payload...]); faulted frames (COLUMBIA_FAULTS
+// halo_corrupt / halo_drop) are rejected and retransmitted, bounded by an
+// attempt cap and drawing deterministic fault sites
+// halo_site(seq, sender, receiver, attempt). Delivered values therefore
+// equal a direct lookup data[from_partition][item], bit for bit, with
 // fault injection on or off (tests/test_core.cpp pins this down).
 // Multi-process execution: attaching a core::Transport to the options
 // turns the plan into one member's view of a process group. Every member
@@ -77,20 +76,6 @@ struct ExchangePlanOptions {
   /// plan maps channel rank r to group member r % group_size.
   Transport* transport = nullptr;
   WireOptions wire;
-  /// Coarse-level rank agglomeration (paper Fig. 19): when > 0, channel
-  /// ranks map onto the first `active_members` group members only
-  /// (r % active_members instead of r % group_size). Members outside the
-  /// active set never touch the wire for this plan — they park, filling
-  /// their replicated out_ by local validation — so a level whose
-  /// partitions are tiny stops paying per-message wire latency on every
-  /// rank. 0 = all members active. Clamped to group_size.
-  int active_members = 0;
-  /// For inter-level transfer plans bridging two different active sets
-  /// (restriction/prolongation between a full-rank fine level and an
-  /// agglomerated coarse level): sender-side ranks map through this count
-  /// while receiver-side ranks map through active_members. 0 = same as
-  /// active_members.
-  int sender_active_members = 0;
 };
 
 /// Stable strategy id used as the "strat" span attribute (0 = t2t,
@@ -99,10 +84,9 @@ inline int strategy_id(ExchangeStrategy s) {
   return s == ExchangeStrategy::MasterThread ? 1 : 0;
 }
 
-/// Cumulative transport counters across all exchanges of one plan. The
-/// plan moves values by direct copy rather than through smp mailboxes, so
-/// it keeps its own ledger (mirroring smp::TrafficStats accounting:
-/// retransmitted frames count as extra messages/bytes).
+/// Cumulative transport counters across all exchanges of one plan: every
+/// framed attempt counts as one message and its frame size in bytes, so
+/// retransmitted frames count as extra messages/bytes.
 struct ExchangeStats {
   std::uint64_t exchanges = 0;
   std::uint64_t messages = 0;
@@ -193,11 +177,7 @@ class ExchangePlan {
   // channel exactly one member sends on the wire and one receives
   // (wire_loopback when they coincide and loopback_self is set), and
   // everyone else fills the channel's slots from its own posted data.
-  // Agglomerated plans shrink the member images: sender ranks map through
-  // sender_active(), receiver ranks through recv_active().
-  int recv_active() const;
-  int sender_active() const;
-  int member_of(index_t rank, bool sender_side) const;
+  int member_of(index_t rank) const;
   /// One Data attempt of a channel: frame, draw the deterministic fault
   /// sites, encode, put on the wire, account. Shared by wire_send,
   /// wire_loopback and the early attempt-0 launch in post().
@@ -268,6 +248,9 @@ class ExchangePlan {
   ExchangeStats stats_;
   std::vector<index_t> ghost_items_;     // per partition
   std::vector<index_t> neighbor_count_;  // per partition
+  // Largest item requested from each partition (-1 = none): post()
+  // checks every posted array is long enough to serve its requests.
+  std::vector<index_t> max_item_;
   // Wire scratch (persistent; capacity reused so steady-state wire
   // exchanges allocate nothing once warmed up; untouched without a
   // transport).

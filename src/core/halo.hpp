@@ -2,9 +2,8 @@
 //
 // A P-way decomposition describes its communication needs as request
 // lists: for each partition, the ordered list of (owner partition, item)
-// pairs it wants fetched every exchange. The smp::hybrid strategies and
-// core::ExchangePlan both consume this shape; smp aliases these types so
-// existing call sites keep compiling.
+// pairs it wants fetched every exchange. core::ExchangePlan consumes this
+// shape.
 #pragma once
 
 #include <vector>

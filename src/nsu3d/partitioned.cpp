@@ -166,7 +166,7 @@ FineGather::FineGather(const Level& fine,
       comm.transport != nullptr ? index_t(comm.transport->group_size()) : 1;
   const index_t me =
       comm.transport != nullptr ? index_t(comm.transport->group_rank()) : 0;
-  COLUMBIA_REQUIRE(tpp >= 1 && comm.active_members == 0);
+  COLUMBIA_REQUIRE(tpp >= 1);
   const index_t nparts = members * tpp;
   const std::size_t np = std::size_t(nparts);
 

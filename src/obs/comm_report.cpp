@@ -20,7 +20,7 @@ std::string strategy_name(std::int64_t strat) {
 
 namespace {
 
-enum class Kind { Pack, Post, Wait, Unpack, Retransmit, Park, Other };
+enum class Kind { Pack, Post, Wait, Unpack, Retransmit, Other };
 
 Kind kind_of(const std::string& name) {
   if (name == "halo.xchg.pack") return Kind::Pack;
@@ -28,7 +28,6 @@ Kind kind_of(const std::string& name) {
   if (name == "halo.xchg.wait") return Kind::Wait;
   if (name == "halo.xchg.unpack") return Kind::Unpack;
   if (name == "halo.xchg.retransmit") return Kind::Retransmit;
-  if (name == "halo.xchg.park") return Kind::Park;
   return Kind::Other;
 }
 
@@ -130,9 +129,7 @@ CommReport build_comm_report(const std::vector<PhaseEvent>& events) {
   };
   std::vector<CommSpan> spans;
   std::map<std::int64_t, double> level_comm_us, level_interior_us;
-  std::map<std::int64_t, double> level_park_us;
   std::map<std::int64_t, std::set<std::int64_t>> level_ranks;
-  std::map<std::int64_t, std::set<std::int64_t>> level_parked;
 
   for (const auto& [tid, evs] : per_tid) {
     std::vector<Frame> stack;
@@ -161,13 +158,7 @@ CommReport build_comm_report(const std::vector<PhaseEvent>& events) {
         s.t1_us = e->ts_us;
         s.excl_us = excl_us;
         spans.push_back(s);
-        if (s.level >= 0) {
-          level_ranks[s.level].insert(s.rank);
-          if (s.kind == Kind::Park) {
-            level_park_us[s.level] += s.excl_us;
-            level_parked[s.level].insert(s.rank);
-          }
-        }
+        if (s.level >= 0) level_ranks[s.level].insert(s.rank);
       }
       if (f.begin->level >= 0) {
         if (is_comm_phase(f.begin->name))
@@ -217,7 +208,6 @@ CommReport build_comm_report(const std::vector<PhaseEvent>& events) {
         case Kind::Retransmit:
           g.retransmits += 1;
           break;
-        case Kind::Park:
         case Kind::Other:
           break;
       }
@@ -312,10 +302,6 @@ CommReport build_comm_report(const std::vector<PhaseEvent>& events) {
     for (const CommGroup& g : out.groups)
       if (g.level == level)
         for (const WaitCell& c : g.cells) lo.claimed_s += c.late_receiver_s;
-    const auto pu = level_park_us.find(level);
-    lo.park_s = pu != level_park_us.end() ? pu->second / 1e6 : 0;
-    const auto pr = level_parked.find(level);
-    lo.parked_ranks = pr != level_parked.end() ? int(pr->second.size()) : 0;
     const auto mi = level_max_cell_msgs.find(level);
     lo.exchanges = mi != level_max_cell_msgs.end() ? mi->second : 0;
     if (lo.exchanges > 0 && lo.ranks > 0) {
@@ -375,7 +361,7 @@ Table comm_overlap_table(const CommReport& r) {
   // the late-receiver time the split post()/finish() path actually hid.
   Table t({"level", "ranks", "exchanges", "comm ms", "wait ms",
            "interior ms", "coverable ms", "claimed ms", "headroom",
-           "park ms", "advice"});
+           "advice"});
   for (const LevelOverlap& l : r.levels) {
     t.add_row({std::to_string(l.level), std::to_string(l.ranks),
                std::to_string(l.exchanges), Table::num(l.comm_s * 1e3, 3),
@@ -384,7 +370,6 @@ Table comm_overlap_table(const CommReport& r) {
                Table::num(l.coverable_s * 1e3, 3),
                Table::num(l.claimed_s * 1e3, 3),
                Table::num(l.headroom, 3),
-               Table::num(l.park_s * 1e3, 3),
                l.agglomerate ? "agglomerate" : "-"});
   }
   return t;
@@ -443,8 +428,6 @@ void write_comm_json_into(JsonWriter& w, const CommReport& r) {
     w.kv("coverable_s", l.coverable_s);
     w.kv("claimed_s", l.claimed_s);
     w.kv("headroom", l.headroom);
-    w.kv("park_s", l.park_s);
-    w.kv("parked_ranks", std::int64_t(l.parked_ranks));
     w.kv("comm_per_exchange_s", l.comm_per_exchange_s);
     w.kv("compute_per_exchange_s", l.compute_per_exchange_s);
     w.kv("agglomerate", l.agglomerate);

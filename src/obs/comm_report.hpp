@@ -79,11 +79,6 @@ struct LevelOverlap {
   /// shows ~0 here; the report pairs it against coverable_s to close the
   /// loop on the headroom advisor ("claimed vs coverable").
   double claimed_s = 0;
-  /// Rank-agglomeration accounting: exclusive seconds members spent parked
-  /// (outside the level's active set, validating locally) and how many
-  /// distinct ranks parked.
-  double park_s = 0;
-  int parked_ranks = 0;
   std::uint64_t exchanges = 0;  // max matched messages over any cell
   int ranks = 0;
   double comm_per_exchange_s = 0;     // comm_s / ranks / exchanges

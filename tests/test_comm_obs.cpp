@@ -3,8 +3,8 @@
 // timestamps in tests/data/comm_trace_*.json), the `columbia_report comm`
 // subcommand over the same fixtures, and retransmit accounting — the
 // halo.xchg.retransmit span count must equal the transport's own ledger
-// and the resil counter on both the plan and legacy paths, at 1/2/4
-// threads per process, with fault injection armed.
+// and the resil counter, in process and across two live member threads,
+// at 1/2/4 threads per process, with fault injection armed.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,11 +13,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cart3d/partitioned.hpp"
 #include "cartesian/cart_mesh.hpp"
 #include "core/exchange_plan.hpp"
+#include "core/transport.hpp"
 #include "geom/components.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/partitioned.hpp"
@@ -26,7 +28,6 @@
 #include "obs/obs.hpp"
 #include "obs/report_cli.hpp"
 #include "resil/faults.hpp"
-#include "smp/hybrid.hpp"
 #include "support/random.hpp"
 
 namespace columbia {
@@ -358,12 +359,15 @@ TEST(RetransmitAccounting, PlanSpansMatchStatsAndCounter) {
   }
 }
 
-// Same three-way agreement on the legacy per-call transports, which drive
-// real OS threads through smp::Runtime (1, 2, and 4 partitions per rank).
+// Same three-way agreement with two live member threads over a
+// core::LocalGroup (1, 2 and 4 partitions per rank): cross-member channels
+// travel the wire protocol, so their halo.xchg.wait spans are genuine
+// blocking receives, and each member's plan keeps its own ledger.
 TEST(RetransmitAccounting, HybridSpansMatchCounter) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const Scenario s = make_scenario(8, 16, 12, 17);
   const core::PartitionData want = expected(s);
+  constexpr int kRounds = 6;
   for (int tpp : {1, 2, 4}) {
     ObsGuard guard;
     resil::FaultInjector::global().configure(
@@ -371,22 +375,50 @@ TEST(RetransmitAccounting, HybridSpansMatchCounter) {
     obs::reset_trace();
     obs::set_enabled(true);
     const std::uint64_t c0 = obs::counter("resil.halo.retransmits").value();
-    smp::Runtime rt(8 / tpp);
-    // Several rounds: the 2-process master layout moves only two messages
-    // per exchange, so a single round can dodge the fault sites entirely.
-    for (int round = 0; round < 6; ++round) {
-      const core::PartitionData got =
-          tpp == 1 ? smp::exchange_thread_to_thread(rt, s.data, s.requests,
-                                                    /*level=*/0)
-                   : smp::exchange_master_thread(rt, s.data, s.requests, tpp,
-                                                 /*level=*/0);
-      EXPECT_EQ(got, want) << "tpp " << tpp << " round " << round;
-    }
+    core::LocalGroup group(2);
+    // [member][round] -> delivered values.
+    std::vector<std::vector<core::PartitionData>> got(
+        2, std::vector<core::PartitionData>(kRounds));
+    std::vector<std::uint64_t> retransmits(2, 0);
+    std::vector<int> codes(2, -1);
+    std::vector<std::thread> members;
+    for (int r = 0; r < 2; ++r)
+      members.emplace_back([&, r] {
+        try {
+          auto t = group.endpoint(r);
+          core::ExchangePlanOptions opt;
+          opt.strategy = tpp == 1 ? core::ExchangeStrategy::ThreadToThread
+                                  : core::ExchangeStrategy::MasterThread;
+          opt.threads_per_process = tpp;
+          opt.level = 0;
+          opt.transport = t.get();
+          opt.wire.deadline_ms = 200;
+          core::ExchangePlan plan(s.requests, opt);
+          // Several rounds: the 2-process master layout moves only two
+          // messages per exchange, so a single round can dodge the fault
+          // sites entirely.
+          for (int round = 0; round < kRounds; ++round)
+            got[std::size_t(r)][std::size_t(round)] = plan.exchange(s.data);
+          core::leave_group(*t);
+          retransmits[std::size_t(r)] = plan.stats().retransmits;
+          codes[std::size_t(r)] = 0;
+        } catch (const std::exception&) {
+          codes[std::size_t(r)] = 70;
+        }
+      });
+    for (auto& th : members) th.join();
     obs::set_enabled(false);
+    for (int r = 0; r < 2; ++r) {
+      EXPECT_EQ(codes[std::size_t(r)], 0) << "tpp " << tpp << " member " << r;
+      for (int round = 0; round < kRounds; ++round)
+        EXPECT_EQ(got[std::size_t(r)][std::size_t(round)], want)
+            << "tpp " << tpp << " member " << r << " round " << round;
+    }
     const std::uint64_t counted =
         obs::counter("resil.halo.retransmits").value() - c0;
     const std::vector<obs::PhaseEvent> events = obs::phase_events_since();
     EXPECT_GT(counted, 0u) << "fault spec never fired";
+    EXPECT_EQ(retransmits[0] + retransmits[1], counted) << "tpp " << tpp;
     EXPECT_EQ(retransmit_spans(events), counted) << "tpp " << tpp;
     EXPECT_EQ(obs::build_comm_report(events).retransmits, counted);
   }

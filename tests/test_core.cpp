@@ -1,15 +1,18 @@
-// The shared solver-runtime core: persistent ExchangePlans must be
-// bit-identical to the legacy per-call smp::exchange_* reference
-// implementation (both strategies, with halo fault injection on or off),
-// allocation-free in steady state, and the unified cycle bookkeeping must
-// reproduce the solvers' historical visit counts. Steady-state multigrid
+// The shared solver-runtime core: persistent ExchangePlans must deliver
+// exactly the direct-lookup values data[from_partition][item] (both
+// strategies, with halo fault injection on or off), count the closed-form
+// fault-free traffic, refuse posted data too short for their requests and
+// stay allocation-free in steady state, and the unified cycle bookkeeping
+// must reproduce the solvers' historical visit counts. Steady-state multigrid
 // cycles of both solvers allocate nothing either, at any pool width.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <new>
+#include <set>
 
 #include "cart3d/partitioned.hpp"
 #include "cart3d/solver.hpp"
@@ -21,7 +24,6 @@
 #include "nsu3d/solver.hpp"
 #include "perf/loads.hpp"
 #include "resil/faults.hpp"
-#include "smp/hybrid.hpp"
 #include "smp/pool.hpp"
 #include "support/random.hpp"
 
@@ -86,9 +88,7 @@ struct InjectorGuard {
   ~InjectorGuard() { resil::FaultInjector::global().reset(); }
 };
 
-/// Random partition data + random cross-partition requests (mirrors the
-/// scenario generator of tests/test_hybrid_comm.cpp so the two suites pin
-/// the same protocol).
+/// Random partition data + random cross-partition requests.
 struct Scenario {
   PartitionData data;
   RequestLists requests;
@@ -115,6 +115,7 @@ Scenario make_scenario(index_t nparts, index_t items_per_part,
   return s;
 }
 
+/// Ground truth: direct lookups.
 PartitionData expected(const Scenario& s) {
   PartitionData out(s.data.size(), std::vector<real_t>{});
   for (std::size_t p = 0; p < s.data.size(); ++p)
@@ -124,23 +125,19 @@ PartitionData expected(const Scenario& s) {
   return out;
 }
 
-TEST(ExchangePlan, ThreadToThreadMatchesLegacyBitwise) {
+TEST(ExchangePlan, ThreadToThreadMatchesDirectLookupBitwise) {
   const Scenario s = make_scenario(8, 20, 15, 1);
-  smp::Runtime rt(8);
-  const auto legacy = smp::exchange_thread_to_thread(rt, s.data, s.requests);
   ExchangePlan plan(s.requests);
-  EXPECT_EQ(plan.exchange(s.data), legacy);
-  EXPECT_EQ(legacy, expected(s));
+  EXPECT_EQ(plan.exchange(s.data), expected(s));
 }
 
-TEST(ExchangePlan, MasterThreadMatchesLegacyBitwise) {
+TEST(ExchangePlan, MasterThreadMatchesDirectLookupBitwise) {
   const Scenario s = make_scenario(8, 20, 15, 2);
+  const PartitionData want = expected(s);
   for (int tpp : {1, 2, 4, 8}) {
-    smp::Runtime rt(8 / tpp);
-    const auto legacy = smp::exchange_master_thread(rt, s.data, s.requests, tpp);
     ExchangePlan plan(s.requests,
                       {ExchangeStrategy::MasterThread, tpp});
-    EXPECT_EQ(plan.exchange(s.data), legacy) << tpp << " threads per process";
+    EXPECT_EQ(plan.exchange(s.data), want) << tpp << " threads per process";
   }
 }
 
@@ -155,27 +152,77 @@ TEST(ExchangePlan, RepeatedExchangesTrackChangingData) {
   EXPECT_EQ(plan.stats().exchanges, 5u);
 }
 
-TEST(ExchangePlan, FaultFreeTrafficMatchesLegacyCounters) {
-  // Same wire accounting as smp::Comm::send: one message per framed send,
-  // frame bytes (payload + count + crc words) per message.
+/// Closed-form fault-free traffic of one exchange with `tpp` partitions per
+/// rank: one message per distinct cross-rank (sender rank, receiver rank)
+/// pair, each a frame of its payload plus the count and crc words.
+ExchangeStats closed_form_traffic(const RequestLists& requests, index_t tpp) {
+  std::map<std::pair<index_t, index_t>, std::uint64_t> payload;
+  for (index_t q = 0; q < index_t(requests.size()); ++q)
+    for (const HaloRequest& r : requests[std::size_t(q)])
+      if (r.from_partition / tpp != q / tpp)
+        payload[{r.from_partition / tpp, q / tpp}] += 1;
+  ExchangeStats st;
+  st.messages = payload.size();
+  for (const auto& [pair, n] : payload) st.bytes += (n + 2) * sizeof(real_t);
+  return st;
+}
+
+TEST(ExchangePlan, FaultFreeTrafficMatchesClosedForm) {
   const Scenario s = make_scenario(10, 25, 20, 4);
 
-  smp::Runtime flat(10);
-  smp::exchange_thread_to_thread(flat, s.data, s.requests);
   ExchangePlan plan(s.requests);
   plan.exchange(s.data);
-  EXPECT_EQ(plan.stats().messages, flat.total_traffic().messages);
-  EXPECT_EQ(plan.stats().bytes, flat.total_traffic().bytes);
+  const ExchangeStats flat = closed_form_traffic(s.requests, 1);
+  EXPECT_EQ(plan.stats().messages, flat.messages);
+  EXPECT_EQ(plan.stats().bytes, flat.bytes);
   EXPECT_EQ(plan.stats().messages, plan.messages_per_exchange());
 
-  smp::Runtime packed(5);
-  smp::exchange_master_thread(packed, s.data, s.requests, 2);
   ExchangePlan mplan(s.requests, {ExchangeStrategy::MasterThread, 2});
   mplan.exchange(s.data);
-  EXPECT_EQ(mplan.stats().messages, packed.total_traffic().messages);
-  EXPECT_EQ(mplan.stats().bytes, packed.total_traffic().bytes);
+  const ExchangeStats packed = closed_form_traffic(s.requests, 2);
+  EXPECT_EQ(mplan.stats().messages, packed.messages);
+  EXPECT_EQ(mplan.stats().bytes, packed.bytes);
   // Fig. 7b: fewer, larger messages.
   EXPECT_LT(mplan.messages_per_exchange(), plan.messages_per_exchange());
+  EXPECT_GT(double(mplan.stats().bytes) / double(mplan.stats().messages),
+            double(plan.stats().bytes) / double(plan.stats().messages));
+}
+
+TEST(ExchangePlan, IntraProcessRequestsNeedNoMessages) {
+  // All requests stay within each process: zero traffic.
+  Scenario s = make_scenario(8, 10, 0, 5);
+  for (index_t p = 0; p < 8; ++p)
+    for (index_t k = 0; k < 5; ++k)
+      s.requests[std::size_t(p)].push_back({p ^ 1, k});  // partner partition
+  // Pairs (0,1),(2,3),... share a process.
+  ExchangePlan plan(s.requests, {ExchangeStrategy::MasterThread, 2});
+  EXPECT_EQ(plan.messages_per_exchange(), 0u);
+  EXPECT_EQ(plan.exchange(s.data), expected(s));
+  EXPECT_EQ(plan.stats().messages, 0u);
+}
+
+TEST(ExchangePlan, SinglePartitionDegenerate) {
+  Scenario s = make_scenario(1, 5, 3, 6);
+  for (auto& reqs : s.requests)
+    for (auto& r : reqs) r.from_partition = 0;
+  ExchangePlan plan(s.requests, {ExchangeStrategy::MasterThread, 1});
+  EXPECT_EQ(plan.exchange(s.data), expected(s));
+  EXPECT_EQ(plan.stats().messages, 0u);
+}
+
+TEST(ExchangePlanDeathTest, RejectsOutOfRangeRequestItems) {
+  // A request past the end of the posted array must abort in post() with
+  // the precondition message, not read out of bounds; a negative item
+  // aborts at build.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Scenario s = make_scenario(4, 20, 6, 9);
+  s.requests[0].push_back({1, 19});
+  ExchangePlan plan(s.requests);
+  EXPECT_EQ(plan.exchange(s.data), expected(s));
+  s.data[1].resize(19);
+  EXPECT_DEATH(plan.post(s.data), "precondition failed");
+  s.requests[2].push_back({3, -1});
+  EXPECT_DEATH(ExchangePlan{s.requests}, "precondition failed");
 }
 
 TEST(ExchangePlan, BitIdenticalUnderHaloCorruption) {
@@ -187,8 +234,6 @@ TEST(ExchangePlan, BitIdenticalUnderHaloCorruption) {
     for (int round = 0; round < 4; ++round)
       EXPECT_EQ(plan.exchange(s.data), want)
           << "tpp " << tpp << " round " << round;
-    smp::Runtime rt(8 / tpp);
-    EXPECT_EQ(smp::exchange_master_thread(rt, s.data, s.requests, tpp), want);
   }
   EXPECT_GT(resil::FaultInjector::global().injected(
                 resil::FaultKind::HaloCorrupt),

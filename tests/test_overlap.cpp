@@ -3,20 +3,16 @@
 // same wire accounting — and the solvers' overlap=true residual paths must
 // reproduce the overlap=false results bit-for-bit at every thread count,
 // under both Fig. 7 strategies, over every wire backend, with fault
-// injection on or off. Coarse-level rank agglomeration (active_members)
-// must likewise leave the delivered halo values untouched: parked members
-// fill their replicated schedule by local validation and agree bitwise
-// with the full-rank run.
+// injection on or off.
 //
-// Everything here is fork-free (loopback Group(1) endpoints and two-thread
-// LocalGroup members), so unlike test_transport this suite runs under the
-// tsan and asan sanitizer configurations.
+// Everything here is fork-free (loopback Group(1) endpoints), so unlike
+// test_transport this suite runs under the tsan and asan sanitizer
+// configurations.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cart3d/partitioned.hpp"
@@ -372,66 +368,6 @@ TEST(SplitResidual, Cart3dOverlapBitIdentical) {
   EXPECT_EQ(cart3d::parallel_residual(m, u, inf, part, 4,
                                       euler::FluxScheme::Roe, {}, true),
             baseline);
-}
-
-// --- Coarse-level rank agglomeration ---------------------------------------
-
-/// Two live member threads over one LocalGroup: the agglomerated plan
-/// (active_members=1, member 1 parked) must deliver the same halo values
-/// on BOTH members as the full-rank plan, through the split post/finish
-/// path, with the data evolving between rounds.
-TEST(Agglomeration, ParkedMemberAgreesBitwiseWithFullRank) {
-  const Scenario base = make_scenario(6, 18, 14, 41);
-  const auto run = [&](int active_members) {
-    // [member][round] -> delivered values.
-    std::vector<std::vector<core::PartitionData>> got(
-        2, std::vector<core::PartitionData>(3));
-    std::vector<int> codes(2, -1);
-    core::LocalGroup group(2);
-    std::vector<std::thread> members;
-    for (int r = 0; r < 2; ++r)
-      members.emplace_back([&, r] {
-        try {
-          auto t = group.endpoint(r);
-          core::ExchangePlanOptions opt;
-          opt.level = 2;
-          opt.transport = t.get();
-          opt.wire.deadline_ms = 200;
-          opt.active_members = active_members;
-          core::ExchangePlan plan(base.requests, opt);
-          Scenario s = base;  // members run replicated data
-          for (int round = 0; round < 3; ++round) {
-            plan.post(s.data);
-            got[std::size_t(r)][std::size_t(round)] = plan.finish();
-            for (auto& d : s.data)
-              for (auto& v : d) v += 0.5 * real_t(round + 1);
-          }
-          core::leave_group(*t);
-          codes[std::size_t(r)] = 0;
-        } catch (const std::exception&) {
-          codes[std::size_t(r)] = 70;
-        }
-      });
-    for (auto& th : members) th.join();
-    EXPECT_EQ(codes[0], 0) << "active_members " << active_members;
-    EXPECT_EQ(codes[1], 0) << "active_members " << active_members;
-    return got;
-  };
-
-  const auto agglomerated = run(1);
-  const auto full_rank = run(0);
-  // Round-0 sanity against the schedule semantics...
-  EXPECT_EQ(agglomerated[0][0], expected(base));
-  // ...then full cross-mode, cross-member bitwise identity.
-  for (int r = 0; r < 2; ++r)
-    for (int round = 0; round < 3; ++round) {
-      EXPECT_EQ(agglomerated[std::size_t(r)][std::size_t(round)],
-                full_rank[0][std::size_t(round)])
-          << "member " << r << " round " << round;
-      EXPECT_EQ(full_rank[std::size_t(r)][std::size_t(round)],
-                full_rank[0][std::size_t(round)])
-          << "member " << r << " round " << round;
-    }
 }
 
 }  // namespace

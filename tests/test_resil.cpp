@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cart3d/solver.hpp"
+#include "core/exchange_plan.hpp"
 #include "driver/database.hpp"
 #include "mesh/builders.hpp"
 #include "nsu3d/solver.hpp"
@@ -18,7 +19,6 @@
 #include "resil/faults.hpp"
 #include "resil/guard.hpp"
 #include "resil/manifest.hpp"
-#include "smp/hybrid.hpp"
 #include "smp/pool.hpp"
 #include "support/random.hpp"
 
@@ -540,17 +540,18 @@ TEST(GuardedSolve, ResumesFromDurableCheckpointBitIdentically) {
 
 // --- Halo exchanges under injected faults ----------------------------------
 
-smp::PartitionData halo_expected(const smp::PartitionData& data,
-                                 const smp::RequestLists& requests) {
-  smp::PartitionData out(data.size(), std::vector<real_t>{});
+core::PartitionData halo_expected(const core::PartitionData& data,
+                                  const core::RequestLists& requests) {
+  core::PartitionData out(data.size(), std::vector<real_t>{});
   for (std::size_t p = 0; p < data.size(); ++p)
-    for (const smp::HaloRequest& r : requests[p])
+    for (const core::HaloRequest& r : requests[p])
       out[p].push_back(
           data[std::size_t(r.from_partition)][std::size_t(r.item)]);
   return out;
 }
 
-void make_halo_scenario(smp::PartitionData& data, smp::RequestLists& requests) {
+void make_halo_scenario(core::PartitionData& data,
+                        core::RequestLists& requests) {
   Xoshiro256 rng(21);
   constexpr index_t nparts = 8, items = 16, reqs = 12;
   data.resize(nparts);
@@ -565,26 +566,27 @@ void make_halo_scenario(smp::PartitionData& data, smp::RequestLists& requests) {
 }
 
 TEST(HaloFaults, DroppedMessagesAreRetransmittedExactly) {
-  smp::PartitionData data;
-  smp::RequestLists requests;
+  core::PartitionData data;
+  core::RequestLists requests;
   make_halo_scenario(data, requests);
   InjectorGuard faults("seed=3,halo_drop=1");
-  smp::Runtime rt(8);
-  const auto got = smp::exchange_thread_to_thread(rt, data, requests);
-  EXPECT_EQ(got, halo_expected(data, requests));
+  core::ExchangePlan plan(requests);
+  EXPECT_EQ(plan.exchange(data), halo_expected(data, requests));
+  // halo_drop=1 faults every attempt up to the cap, whose last is clean.
+  EXPECT_GT(plan.stats().retransmits, 0u);
   EXPECT_GT(resil::FaultInjector::global().injected(
                 resil::FaultKind::HaloDrop),
             0u);
 }
 
 TEST(HaloFaults, CorruptedMessagesAreRejectedAndResent) {
-  smp::PartitionData data;
-  smp::RequestLists requests;
+  core::PartitionData data;
+  core::RequestLists requests;
   make_halo_scenario(data, requests);
   InjectorGuard faults("seed=5,halo_corrupt=0.5");
-  smp::Runtime rt(4);
-  const auto got = smp::exchange_master_thread(rt, data, requests, 2);
-  EXPECT_EQ(got, halo_expected(data, requests));
+  core::ExchangePlan plan(requests, {core::ExchangeStrategy::MasterThread, 2});
+  EXPECT_EQ(plan.exchange(data), halo_expected(data, requests));
+  EXPECT_GT(plan.stats().rejected, 0u);
   EXPECT_GT(resil::FaultInjector::global().injected(
                 resil::FaultKind::HaloCorrupt),
             0u);
